@@ -38,6 +38,50 @@ void BM_EcdsaVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_EcdsaVerify);
 
+// P-256 building blocks. Operands are hashed at run time so nothing folds
+// to a constant; the field and scalar loops feed each result back in.
+crypto::U256 bench_scalar(const std::string& label) {
+  const crypto::Digest d = crypto::Sha256::hash(to_bytes(label));
+  return crypto::U256::from_bytes(BytesView{d.data(), d.size()});
+}
+
+void BM_P256MulBase(benchmark::State& state) {
+  const crypto::U256 k = bench_scalar("mul-base");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::p256_multiply(k, crypto::p256_generator()));
+  }
+}
+BENCHMARK(BM_P256MulBase);
+
+void BM_P256DoubleMul(benchmark::State& state) {
+  const auto key = crypto::EcdsaKeyPair::derive("bench");
+  const crypto::U256 u1 = bench_scalar("u1");
+  const crypto::U256 u2 = bench_scalar("u2");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::p256_double_multiply(u1, u2, key.public_point()));
+  }
+}
+BENCHMARK(BM_P256DoubleMul);
+
+void BM_P256FieldMul(benchmark::State& state) {
+  crypto::U256 a = bench_scalar("field-a");
+  const crypto::U256 b = bench_scalar("field-b");
+  for (auto _ : state) {
+    a = crypto::p256::field_mul(a, b);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_P256FieldMul);
+
+void BM_P256ScalarInverse(benchmark::State& state) {
+  crypto::U256 a = bench_scalar("scalar-inverse");
+  for (auto _ : state) {
+    a = crypto::p256::scalar_inv(a);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_P256ScalarInverse);
+
 void BM_SimulatedSign(benchmark::State& state) {
   const auto signer = crypto::SimulatedSigner::derive("bench");
   const Bytes msg = to_bytes("benchmark message");

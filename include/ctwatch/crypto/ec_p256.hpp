@@ -3,11 +3,20 @@
 // CT logs sign SCTs and STHs with ECDSA P-256/SHA-256 in practice; this
 // module provides the real thing so that signature validation failures in
 // the §3.4 invalid-SCT study are genuine cryptographic failures, not flag
-// checks. Field arithmetic uses the NIST fast (Solinas) reduction; point
-// arithmetic uses Jacobian coordinates.
+// checks.
+//
+// Arithmetic mod p and mod n is Montgomery multiplication on 64-bit limbs
+// with 128-bit products; inverses are Fermat exponentiations. Points are
+// Jacobian internally. k*G (signing, key derivation) reads a fixed-base
+// window table: 43 rows of 32 affine multiples of G (86 KiB, built on first
+// use and normalised with one batched inversion), so it costs at most 43
+// mixed additions and no doublings. k*Q for any other point uses a width-5
+// wNAF. Verification computes u1*G + u2*Q as the table sum plus the wNAF,
+// with one final inversion.
 //
 // Scope note: this implementation is for simulation and research use. It is
-// deliberately *not* constant-time.
+// deliberately *not* constant-time: table lookups, digit-dependent additions
+// and exponent-dependent multiplications all branch on secret scalars.
 #pragma once
 
 #include <optional>
@@ -26,10 +35,16 @@ const U256& order();
 /// Curve coefficient b (a = -3 mod p).
 const U256& coeff_b();
 
-/// (a * b) mod p using the NIST fast reduction.
+/// (a * b) mod p.
 U256 field_mul(const U256& a, const U256& b);
 /// a^2 mod p.
 U256 field_sqr(const U256& a);
+/// a^-1 mod p; zero maps to zero.
+U256 field_inv(const U256& a);
+/// (a * b) mod n.
+U256 scalar_mul(const U256& a, const U256& b);
+/// a^-1 mod n; zero maps to zero.
+U256 scalar_inv(const U256& a);
 }  // namespace p256
 
 /// An affine point on P-256, or the point at infinity.
@@ -59,11 +74,12 @@ struct AffinePoint {
 /// The generator point G.
 const AffinePoint& p256_generator();
 
-/// Scalar multiplication k * P (Jacobian double-and-add).
+/// Scalar multiplication k * P: the fixed-base table when P is the
+/// generator, width-5 wNAF otherwise.
 AffinePoint p256_multiply(const U256& k, const AffinePoint& point);
-/// u1 * G + u2 * Q, the ECDSA verification combination.
+/// u1 * G + u2 * Q, the ECDSA verification combination (table + wNAF).
 AffinePoint p256_double_multiply(const U256& u1, const U256& u2, const AffinePoint& q);
-/// Point addition (affine API over Jacobian internals).
+/// Point addition (one mixed Jacobian + affine addition).
 AffinePoint p256_add(const AffinePoint& a, const AffinePoint& b);
 
 /// A raw ECDSA signature: the pair (r, s).
@@ -91,7 +107,7 @@ class EcdsaKeyPair {
   [[nodiscard]] const U256& private_scalar() const { return d_; }
   [[nodiscard]] const AffinePoint& public_point() const { return q_; }
 
-  /// Signs a SHA-256 digest with a deterministic (RFC 6979 style) nonce.
+  /// Signs a SHA-256 digest with a deterministic RFC 6979 nonce.
   [[nodiscard]] EcdsaSignature sign_digest(const Digest& digest) const;
   /// Convenience: hash then sign.
   [[nodiscard]] EcdsaSignature sign(BytesView message) const;

@@ -11,8 +11,6 @@
 
 namespace ctwatch::crypto {
 
-struct U512;
-
 /// 256-bit unsigned integer. Value semantics, constexpr-friendly storage.
 struct U256 {
   // limb[0] is least significant.
@@ -41,7 +39,7 @@ struct U256 {
   [[nodiscard]] constexpr bool bit(int i) const {
     return (limb[static_cast<std::size_t>(i >> 6)] >> (i & 63)) & 1;
   }
-  /// Index of the highest set bit, or -1 for zero.
+  /// Number of significant bits (0 for zero).
   [[nodiscard]] int bit_length() const;
 
   friend constexpr std::strong_ordering operator<=>(const U256& a, const U256& b) {
@@ -54,49 +52,28 @@ struct U256 {
   }
   friend constexpr bool operator==(const U256&, const U256&) = default;
 
-  /// Addition returning the carry-out bit.
-  static bool add(const U256& a, const U256& b, U256& out);
-  /// Subtraction returning the borrow-out bit.
-  static bool sub(const U256& a, const U256& b, U256& out);
-  /// Full 256x256 -> 512-bit multiplication.
-  static U512 mul(const U256& a, const U256& b);
-
-  /// Logical shift right by 1 bit.
-  [[nodiscard]] U256 shr1() const;
-};
-
-/// 512-bit product type (little-endian 64-bit limbs).
-struct U512 {
-  std::array<std::uint64_t, 8> limb{};
-
-  [[nodiscard]] constexpr bool bit(int i) const {
-    return (limb[static_cast<std::size_t>(i >> 6)] >> (i & 63)) & 1;
+  /// Addition returning the carry-out bit. `out` may alias an operand.
+  static constexpr bool add(const U256& a, const U256& b, U256& out) {
+    unsigned __int128 carry = 0;
+#pragma GCC unroll 4
+    for (std::size_t i = 0; i < 4; ++i) {
+      const unsigned __int128 sum = static_cast<unsigned __int128>(a.limb[i]) + b.limb[i] + carry;
+      out.limb[i] = static_cast<std::uint64_t>(sum);
+      carry = sum >> 64;
+    }
+    return carry != 0;
   }
-  /// Low and high 256-bit halves.
-  [[nodiscard]] U256 lo() const { return U256{limb[0], limb[1], limb[2], limb[3]}; }
-  [[nodiscard]] U256 hi() const { return U256{limb[4], limb[5], limb[6], limb[7]}; }
+  /// Subtraction returning the borrow-out bit. `out` may alias an operand.
+  static constexpr bool sub(const U256& a, const U256& b, U256& out) {
+    unsigned __int128 borrow = 0;
+#pragma GCC unroll 4
+    for (std::size_t i = 0; i < 4; ++i) {
+      const unsigned __int128 diff = static_cast<unsigned __int128>(a.limb[i]) - b.limb[i] - borrow;
+      out.limb[i] = static_cast<std::uint64_t>(diff);
+      borrow = (diff >> 64) & 1;
+    }
+    return borrow != 0;
+  }
 };
-
-/// Modular arithmetic helpers for a fixed odd modulus m (m > 1).
-/// Generic (not constant-time): this library signs simulated artifacts.
-namespace modmath {
-
-/// (a + b) mod m; requires a, b < m.
-U256 add(const U256& a, const U256& b, const U256& m);
-/// (a - b) mod m; requires a, b < m.
-U256 sub(const U256& a, const U256& b, const U256& m);
-/// (a * b) mod m; requires a, b < m.
-U256 mul(const U256& a, const U256& b, const U256& m);
-/// Reduces a 512-bit value mod m (binary long division).
-U256 reduce(const U512& x, const U256& m);
-/// Reduces a possibly >= m 256-bit value mod m.
-U256 reduce(const U256& x, const U256& m);
-/// Modular inverse via binary extended GCD; requires gcd(a, m) == 1, a != 0.
-/// Throws std::domain_error otherwise.
-U256 inverse(const U256& a, const U256& m);
-/// a^e mod m (square and multiply).
-U256 pow(const U256& a, const U256& e, const U256& m);
-
-}  // namespace modmath
 
 }  // namespace ctwatch::crypto

@@ -1,206 +1,342 @@
 #include "ctwatch/crypto/ec_p256.hpp"
 
-#include <cstring>
+#include <array>
 #include <stdexcept>
+#include <vector>
 
 namespace ctwatch::crypto {
 
-namespace p256 {
-
-const U256& prime() {
-  static const U256 p = U256::from_hex(
-      "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff");
-  return p;
-}
-
-const U256& order() {
-  static const U256 n = U256::from_hex(
-      "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551");
-  return n;
-}
-
-const U256& coeff_b() {
-  static const U256 b = U256::from_hex(
-      "5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b");
-  return b;
-}
-
 namespace {
 
-// Signed accumulator over 256-bit values: tracks value + overflow*2^256.
-struct Acc {
-  U256 v;
-  int overflow = 0;  // multiples of 2^256, may be negative
+// Arithmetic modulo an odd m > 2^255 on values in Montgomery form: a is held
+// as a*R mod m with R = 2^256. Both P-256 moduli exceed 2^255, so every
+// 256-bit integer is below 2m and reduces with one conditional subtraction.
+// The modulus is a template argument so that its limbs are constants in mul.
+template <U256 m>
+class Montgomery {
+ public:
+  constexpr Montgomery() {
+    // Newton's iteration doubles the correct low bits of m^-1 mod 2^64 per
+    // step, from 3 bits (m * m == 1 mod 8 for odd m) to 96.
+    std::uint64_t inv = m.limb[0];
+    for (int i = 0; i < 5; ++i) inv *= 2 - m.limb[0] * inv;
+    m0inv_ = 0 - inv;
+    U256::sub(U256{}, m, one_);  // 2^256 - m == R mod m
+    r2_ = one_;
+    for (int i = 0; i < 256; ++i) r2_ = add(r2_, r2_);
+    U256::sub(m, U256{2}, fermat_);
+  }
 
-  void add(const U256& x) {
-    if (U256::add(v, x, v)) ++overflow;
+  [[nodiscard]] constexpr const U256& modulus() const { return m; }
+  [[nodiscard]] constexpr const U256& one() const { return one_; }
+
+  /// Brings any 256-bit value below m.
+  [[nodiscard]] constexpr U256 reduce(const U256& a) const {
+    U256 t;
+    return U256::sub(a, m, t) ? a : t;
   }
-  void sub(const U256& x) {
-    if (U256::sub(v, x, v)) --overflow;
+  [[nodiscard]] constexpr U256 add(const U256& a, const U256& b) const {
+    U256 sum, reduced;
+    const bool carry = U256::add(a, b, sum);
+    const bool borrow = U256::sub(sum, m, reduced);
+    return (carry || !borrow) ? reduced : sum;
   }
+  [[nodiscard]] constexpr U256 sub(const U256& a, const U256& b) const {
+    U256 diff;
+    if (U256::sub(a, b, diff)) U256::add(diff, m, diff);
+    return diff;
+  }
+  /// a * b * R^-1 mod m by coarsely integrated operand scanning (CIOS):
+  /// 64-bit limbs, 128-bit products. Requires a, b < m.
+  [[nodiscard]] constexpr U256 mul(const U256& a, const U256& b) const {
+    using u128 = unsigned __int128;
+    std::uint64_t t[6] = {};
+#pragma GCC unroll 4
+    for (std::size_t i = 0; i < 4; ++i) {
+      u128 c = 0;
+#pragma GCC unroll 4
+      for (std::size_t j = 0; j < 4; ++j) {
+        c = static_cast<u128>(a.limb[i]) * b.limb[j] + t[j] + static_cast<std::uint64_t>(c >> 64);
+        t[j] = static_cast<std::uint64_t>(c);
+      }
+      c = static_cast<u128>(t[4]) + static_cast<std::uint64_t>(c >> 64);
+      t[4] = static_cast<std::uint64_t>(c);
+      t[5] = static_cast<std::uint64_t>(c >> 64);
+      // Add q*m with q chosen to clear the low limb, then drop that limb.
+      const std::uint64_t q = t[0] * m0inv_;
+      c = static_cast<u128>(q) * m.limb[0] + t[0];
+#pragma GCC unroll 3
+      for (std::size_t j = 1; j < 4; ++j) {
+        c = static_cast<u128>(q) * m.limb[j] + t[j] + static_cast<std::uint64_t>(c >> 64);
+        t[j - 1] = static_cast<std::uint64_t>(c);
+      }
+      c = static_cast<u128>(t[4]) + static_cast<std::uint64_t>(c >> 64);
+      t[3] = static_cast<std::uint64_t>(c);
+      t[4] = t[5] + static_cast<std::uint64_t>(c >> 64);
+    }
+    // t < 2m here; one conditional subtraction finishes.
+    const U256 r{t[0], t[1], t[2], t[3]};
+    U256 reduced;
+    const bool borrow = U256::sub(r, m, reduced);
+    return (t[4] != 0 || !borrow) ? reduced : r;
+  }
+  [[nodiscard]] constexpr U256 sqr(const U256& a) const { return mul(a, a); }
+  [[nodiscard]] constexpr U256 to_mont(const U256& a) const { return mul(reduce(a), r2_); }
+  [[nodiscard]] constexpr U256 from_mont(const U256& a) const { return mul(a, U256{1}); }
+
+  /// a^-1 as a^(m-2) (Fermat; m is prime), by a fixed 4-bit-window
+  /// addition chain. Zero maps to zero.
+  [[nodiscard]] U256 inv(const U256& a) const {
+    std::array<U256, 16> powers;
+    powers[0] = one_;
+    for (std::size_t i = 1; i < powers.size(); ++i) powers[i] = mul(powers[i - 1], a);
+    U256 r = one_;
+    for (int i = 63; i >= 0; --i) {
+      for (int s = 0; s < 4; ++s) r = sqr(r);
+      const auto nibble = (fermat_.limb[static_cast<std::size_t>(i / 16)] >> (4 * (i % 16))) & 0xf;
+      if (nibble != 0) r = mul(r, powers[nibble]);
+    }
+    return r;
+  }
+
+ private:
+  std::uint64_t m0inv_ = 0;  // -m^-1 mod 2^64
+  U256 one_;                 // R mod m
+  U256 r2_;                  // R^2 mod m
+  U256 fermat_;              // m - 2
 };
 
-// Builds a U256 from eight 32-bit words given most-significant first.
-U256 words_be(std::uint32_t w7, std::uint32_t w6, std::uint32_t w5, std::uint32_t w4,
-              std::uint32_t w3, std::uint32_t w2, std::uint32_t w1, std::uint32_t w0) {
-  return U256{static_cast<std::uint64_t>(w1) << 32 | w0,
-              static_cast<std::uint64_t>(w3) << 32 | w2,
-              static_cast<std::uint64_t>(w5) << 32 | w4,
-              static_cast<std::uint64_t>(w7) << 32 | w6};
-}
-
-// NIST fast reduction modulo p (FIPS 186-4, D.2.3) for a 512-bit input.
-U256 reduce_p(const U512& t) {
-  std::uint32_t c[16];
-  for (int i = 0; i < 16; ++i) {
-    c[i] = static_cast<std::uint32_t>(t.limb[static_cast<std::size_t>(i / 2)] >> (32 * (i % 2)));
-  }
-  const U256 s1 = words_be(c[7], c[6], c[5], c[4], c[3], c[2], c[1], c[0]);
-  const U256 s2 = words_be(c[15], c[14], c[13], c[12], c[11], 0, 0, 0);
-  const U256 s3 = words_be(0, c[15], c[14], c[13], c[12], 0, 0, 0);
-  const U256 s4 = words_be(c[15], c[14], 0, 0, 0, c[10], c[9], c[8]);
-  const U256 s5 = words_be(c[8], c[13], c[15], c[14], c[13], c[11], c[10], c[9]);
-  const U256 s6 = words_be(c[10], c[8], 0, 0, 0, c[13], c[12], c[11]);
-  const U256 s7 = words_be(c[11], c[9], 0, 0, c[15], c[14], c[13], c[12]);
-  const U256 s8 = words_be(c[12], 0, c[10], c[9], c[8], c[15], c[14], c[13]);
-  const U256 s9 = words_be(c[13], 0, c[11], c[10], c[9], 0, c[15], c[14]);
-
-  Acc acc{s1, 0};
-  acc.add(s2);
-  acc.add(s2);
-  acc.add(s3);
-  acc.add(s3);
-  acc.add(s4);
-  acc.add(s5);
-  acc.sub(s6);
-  acc.sub(s7);
-  acc.sub(s8);
-  acc.sub(s9);
-
-  const U256& p = prime();
-  while (acc.overflow > 0) {
-    acc.sub(p);
-  }
-  while (acc.overflow < 0) {
-    acc.add(p);
-  }
-  U256 r = acc.v;
-  while (r >= p) {
-    U256 tmp;
-    U256::sub(r, p, tmp);
-    r = tmp;
-  }
-  return r;
-}
+constexpr Montgomery<U256{0xffffffffffffffff, 0x00000000ffffffff, 0, 0xffffffff00000001}> kFp;
+constexpr Montgomery<U256{0xf3b9cac2fc632551, 0xbce6faada7179e84, 0xffffffffffffffff,
+                          0xffffffff00000000}>
+    kFn;
+constexpr U256 kCoeffB{0x3bce3c3e27d2604b, 0x651d06b0cc53b0f6, 0xb3ebbd55769886bc,
+                       0x5ac635d8aa3a93e7};
+constexpr U256 kGx{0xf4a13945d898c296, 0x77037d812deb33a0, 0xf8bce6e563a440f2, 0x6b17d1f2e12c4247};
+constexpr U256 kGy{0xcbb6406837bf51f5, 0x2bce33576b315ece, 0x8ee7eb4a7c0f9e16, 0x4fe342e2fe1a7f9b};
 
 }  // namespace
 
-U256 field_mul(const U256& a, const U256& b) { return reduce_p(U256::mul(a, b)); }
-U256 field_sqr(const U256& a) { return reduce_p(U256::mul(a, a)); }
+namespace p256 {
+
+const U256& prime() { return kFp.modulus(); }
+const U256& order() { return kFn.modulus(); }
+const U256& coeff_b() { return kCoeffB; }
+
+U256 field_mul(const U256& a, const U256& b) { return kFp.mul(kFp.to_mont(a), kFp.reduce(b)); }
+U256 field_sqr(const U256& a) { return field_mul(a, a); }
+U256 field_inv(const U256& a) { return kFp.from_mont(kFp.inv(kFp.to_mont(a))); }
+U256 scalar_mul(const U256& a, const U256& b) { return kFn.mul(kFn.to_mont(a), kFn.reduce(b)); }
+U256 scalar_inv(const U256& a) { return kFn.from_mont(kFn.inv(kFn.to_mont(a))); }
 
 }  // namespace p256
 
 namespace {
 
-using p256::field_mul;
-using p256::field_sqr;
+// Points below hold their coordinates in Montgomery form mod p.
 
-U256 field_add(const U256& a, const U256& b) { return modmath::add(a, b, p256::prime()); }
-U256 field_sub(const U256& a, const U256& b) { return modmath::sub(a, b, p256::prime()); }
-U256 field_inv(const U256& a) { return modmath::inverse(a, p256::prime()); }
-
-// Jacobian projective point: (X, Y, Z) with x = X/Z^2, y = Y/Z^3.
-struct Jacobian {
-  U256 X, Y, Z;  // Z == 0 encodes the point at infinity
-
-  static Jacobian infinity() { return {U256{1}, U256{1}, U256{0}}; }
-  static Jacobian from_affine(const AffinePoint& p) {
-    if (p.infinity) return infinity();
-    return {p.x, p.y, U256{1}};
-  }
-  [[nodiscard]] bool is_infinity() const { return Z.is_zero(); }
-
-  [[nodiscard]] AffinePoint to_affine() const {
-    if (is_infinity()) return AffinePoint{};
-    const U256 zinv = field_inv(Z);
-    const U256 zinv2 = field_sqr(zinv);
-    const U256 zinv3 = field_mul(zinv2, zinv);
-    return AffinePoint::make(field_mul(X, zinv2), field_mul(Y, zinv3));
-  }
+// A finite affine point.
+struct Affine {
+  U256 x, y;
 };
 
+// Jacobian point: x = X/Z^2, y = Y/Z^3; Z == 0 encodes the point at infinity.
+struct Jacobian {
+  U256 X, Y, Z;
+
+  [[nodiscard]] bool is_infinity() const { return Z.is_zero(); }
+};
+
+constexpr Jacobian kInfinity{kFp.one(), kFp.one(), U256{}};
+constexpr Affine kG{kFp.to_mont(kGx), kFp.to_mont(kGy)};
+constexpr U256 kB = kFp.to_mont(kCoeffB);
+
+U256 twice(const U256& a) { return kFp.add(a, a); }
+
+Affine to_internal(const AffinePoint& p) { return {kFp.to_mont(p.x), kFp.to_mont(p.y)}; }
+Jacobian from_affine(const Affine& a) { return {a.x, a.y, kFp.one()}; }
+Affine negate(const Affine& a) { return {a.x, kFp.sub(U256{}, a.y)}; }
+Jacobian negate(const Jacobian& p) { return {p.X, kFp.sub(U256{}, p.Y), p.Z}; }
+
+AffinePoint to_affine(const Jacobian& p) {
+  if (p.is_infinity()) return AffinePoint{};
+  const U256 zinv = kFp.inv(p.Z);
+  const U256 zinv2 = kFp.sqr(zinv);
+  return AffinePoint::make(kFp.from_mont(kFp.mul(p.X, zinv2)),
+                           kFp.from_mont(kFp.mul(p.Y, kFp.mul(zinv2, zinv))));
+}
+
 // dbl-2001-b: exploits a = -3.
-Jacobian jacobian_double(const Jacobian& p) {
-  if (p.is_infinity() || p.Y.is_zero()) return Jacobian::infinity();
-  const U256 delta = field_sqr(p.Z);
-  const U256 gamma = field_sqr(p.Y);
-  const U256 beta = field_mul(p.X, gamma);
-  const U256 t0 = field_sub(p.X, delta);
-  const U256 t1 = field_add(p.X, delta);
-  const U256 t2 = field_mul(t0, t1);
-  const U256 alpha3 = field_add(field_add(t2, t2), t2);  // 3*(X-delta)*(X+delta)
-  const U256 beta4 = field_add(field_add(beta, beta), field_add(beta, beta));
-  const U256 beta8 = field_add(beta4, beta4);
-  const U256 X3 = field_sub(field_sqr(alpha3), beta8);
-  const U256 zy = field_add(p.Y, p.Z);
-  const U256 Z3 = field_sub(field_sub(field_sqr(zy), gamma), delta);
-  const U256 gamma2 = field_sqr(gamma);
-  const U256 gamma2_8 = field_add(field_add(field_add(gamma2, gamma2), field_add(gamma2, gamma2)),
-                                  field_add(field_add(gamma2, gamma2), field_add(gamma2, gamma2)));
-  const U256 Y3 = field_sub(field_mul(alpha3, field_sub(beta4, X3)), gamma2_8);
+Jacobian dbl(const Jacobian& p) {
+  if (p.is_infinity() || p.Y.is_zero()) return kInfinity;
+  const U256 delta = kFp.sqr(p.Z);
+  const U256 gamma = kFp.sqr(p.Y);
+  const U256 beta4 = twice(twice(kFp.mul(p.X, gamma)));
+  const U256 t = kFp.mul(kFp.sub(p.X, delta), kFp.add(p.X, delta));
+  const U256 alpha = kFp.add(twice(t), t);  // 3*(X-delta)*(X+delta)
+  const U256 X3 = kFp.sub(kFp.sqr(alpha), twice(beta4));
+  const U256 Z3 = kFp.sub(kFp.sub(kFp.sqr(kFp.add(p.Y, p.Z)), gamma), delta);
+  const U256 Y3 = kFp.sub(kFp.mul(alpha, kFp.sub(beta4, X3)), twice(twice(twice(kFp.sqr(gamma)))));
   return {X3, Y3, Z3};
 }
 
-// add-2007-bl general Jacobian addition.
-Jacobian jacobian_add(const Jacobian& p, const Jacobian& q) {
+// add-2007-bl: general Jacobian addition.
+Jacobian add(const Jacobian& p, const Jacobian& q) {
   if (p.is_infinity()) return q;
   if (q.is_infinity()) return p;
-  const U256 Z1Z1 = field_sqr(p.Z);
-  const U256 Z2Z2 = field_sqr(q.Z);
-  const U256 U1 = field_mul(p.X, Z2Z2);
-  const U256 U2 = field_mul(q.X, Z1Z1);
-  const U256 S1 = field_mul(field_mul(p.Y, q.Z), Z2Z2);
-  const U256 S2 = field_mul(field_mul(q.Y, p.Z), Z1Z1);
-  const U256 H = field_sub(U2, U1);
-  const U256 rr = field_add(field_sub(S2, S1), field_sub(S2, S1));
-  if (H.is_zero()) {
-    if (rr.is_zero()) return jacobian_double(p);
-    return Jacobian::infinity();
-  }
-  const U256 H2 = field_add(H, H);
-  const U256 I = field_sqr(H2);
-  const U256 J = field_mul(H, I);
-  const U256 V = field_mul(U1, I);
-  const U256 X3 = field_sub(field_sub(field_sqr(rr), J), field_add(V, V));
-  const U256 S1J = field_mul(S1, J);
-  const U256 Y3 = field_sub(field_mul(rr, field_sub(V, X3)), field_add(S1J, S1J));
-  const U256 Z3 = field_mul(
-      field_sub(field_sub(field_sqr(field_add(p.Z, q.Z)), Z1Z1), Z2Z2), H);
+  const U256 Z1Z1 = kFp.sqr(p.Z);
+  const U256 Z2Z2 = kFp.sqr(q.Z);
+  const U256 U1 = kFp.mul(p.X, Z2Z2);
+  const U256 S1 = kFp.mul(kFp.mul(p.Y, q.Z), Z2Z2);
+  const U256 H = kFp.sub(kFp.mul(q.X, Z1Z1), U1);
+  const U256 r = twice(kFp.sub(kFp.mul(kFp.mul(q.Y, p.Z), Z1Z1), S1));
+  if (H.is_zero()) return r.is_zero() ? dbl(p) : kInfinity;
+  const U256 I = kFp.sqr(twice(H));
+  const U256 J = kFp.mul(H, I);
+  const U256 V = kFp.mul(U1, I);
+  const U256 X3 = kFp.sub(kFp.sub(kFp.sqr(r), J), twice(V));
+  const U256 Y3 = kFp.sub(kFp.mul(r, kFp.sub(V, X3)), twice(kFp.mul(S1, J)));
+  const U256 Z3 = kFp.mul(kFp.sub(kFp.sub(kFp.sqr(kFp.add(p.Z, q.Z)), Z1Z1), Z2Z2), H);
   return {X3, Y3, Z3};
 }
 
-Jacobian jacobian_multiply(const U256& k, const Jacobian& point) {
-  Jacobian result = Jacobian::infinity();
-  const int bits = k.bit_length();
-  for (int i = bits - 1; i >= 0; --i) {
-    result = jacobian_double(result);
-    if (k.bit(i)) result = jacobian_add(result, point);
+// madd-2007-bl: Jacobian plus affine (Z2 == 1).
+Jacobian add_mixed(const Jacobian& p, const Affine& q) {
+  if (p.is_infinity()) return from_affine(q);
+  const U256 Z1Z1 = kFp.sqr(p.Z);
+  const U256 H = kFp.sub(kFp.mul(q.x, Z1Z1), p.X);
+  const U256 r = twice(kFp.sub(kFp.mul(q.y, kFp.mul(p.Z, Z1Z1)), p.Y));
+  if (H.is_zero()) return r.is_zero() ? dbl(p) : kInfinity;
+  const U256 HH = kFp.sqr(H);
+  const U256 I = twice(twice(HH));
+  const U256 J = kFp.mul(H, I);
+  const U256 V = kFp.mul(p.X, I);
+  const U256 X3 = kFp.sub(kFp.sub(kFp.sqr(r), J), twice(V));
+  const U256 Y3 = kFp.sub(kFp.mul(r, kFp.sub(V, X3)), twice(kFp.mul(p.Y, J)));
+  const U256 Z3 = kFp.sub(kFp.sub(kFp.sqr(kFp.add(p.Z, H)), Z1Z1), HH);
+  return {X3, Y3, Z3};
+}
+
+// Montgomery's trick: one field inversion normalises every point. All
+// points must be finite.
+std::vector<Affine> batch_to_affine(const std::vector<Jacobian>& points) {
+  std::vector<U256> prefix(points.size());  // Z_0 * ... * Z_{i-1}
+  U256 acc = kFp.one();
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    prefix[i] = acc;
+    acc = kFp.mul(acc, points[i].Z);
   }
-  return result;
+  U256 inv = kFp.inv(acc);  // (Z_0 * ... * Z_i)^-1 at step i below
+  std::vector<Affine> out(points.size());
+  for (std::size_t i = points.size(); i-- > 0;) {
+    const U256 zinv = kFp.mul(inv, prefix[i]);
+    inv = kFp.mul(inv, points[i].Z);
+    const U256 zinv2 = kFp.sqr(zinv);
+    out[i] = {kFp.mul(points[i].X, zinv2), kFp.mul(points[i].Y, kFp.mul(zinv2, zinv))};
+  }
+  return out;
+}
+
+// Bits [pos, pos + width) of k, width <= 8; bits above 255 read as zero.
+unsigned bits(const U256& k, int pos, int width) {
+  if (pos >= 256) return 0;
+  const auto limb = static_cast<std::size_t>(pos >> 6);
+  const int shift = pos & 63;
+  std::uint64_t v = k.limb[limb] >> shift;
+  if (shift + width > 64 && limb < 3) v |= k.limb[limb + 1] << (64 - shift);
+  return static_cast<unsigned>(v & ((1u << width) - 1));
+}
+
+// Fixed-base windows for k*G. k is recoded into 43 signed 6-bit digits
+// d_i in [-31, 32] with k = sum d_i * 2^(6i); row i of the table holds
+// j * 2^(6i) * G for j = 1..32 in affine form. k*G is then at most 43 mixed
+// additions and no doublings. The top row's digit reads only bits 252..255
+// plus a carry, so it never carries out, for any 256-bit k.
+constexpr int kBaseWindow = 6;
+constexpr int kBaseRows = (256 + kBaseWindow - 1) / kBaseWindow;
+constexpr int kBaseCols = 1 << (kBaseWindow - 1);
+
+// 43 * 32 points * 64 bytes = 86 KiB, built once on first use.
+const std::vector<Affine>& base_table() {
+  static const std::vector<Affine> table = [] {
+    std::vector<Jacobian> points;
+    points.reserve(kBaseRows * kBaseCols);
+    Jacobian row_base = from_affine(kG);
+    for (int i = 0; i < kBaseRows; ++i) {
+      Jacobian multiple = row_base;
+      for (int j = 0; j < kBaseCols; ++j) {
+        points.push_back(multiple);
+        multiple = add(multiple, row_base);
+      }
+      for (int b = 0; b < kBaseWindow; ++b) row_base = dbl(row_base);
+    }
+    return batch_to_affine(points);
+  }();
+  return table;
+}
+
+Jacobian mul_base(const U256& k) {
+  const std::vector<Affine>& table = base_table();
+  Jacobian acc = kInfinity;
+  unsigned carry = 0;
+  for (int i = 0; i < kBaseRows; ++i) {
+    int digit = static_cast<int>(bits(k, i * kBaseWindow, kBaseWindow) + carry);
+    carry = digit > kBaseCols ? 1 : 0;
+    digit -= static_cast<int>(carry) << kBaseWindow;
+    const Affine* row = &table[static_cast<std::size_t>(i * kBaseCols)];
+    if (digit > 0) acc = add_mixed(acc, row[digit - 1]);
+    if (digit < 0) acc = add_mixed(acc, negate(row[-digit - 1]));
+  }
+  return acc;
+}
+
+// Width-5 NAF of k: every digit is 0 or odd in [-15, 15], at most one of
+// any 5 consecutive digits is nonzero, and k = sum digit_i * 2^i.
+std::array<std::int8_t, 257> wnaf5(const U256& k) {
+  std::array<std::int8_t, 257> digits{};
+  unsigned carry = 0;
+  for (int i = 0; i < 257;) {
+    if (bits(k, i, 1) == carry) {  // even: digit 0, carry unchanged
+      ++i;
+      continue;
+    }
+    int word = static_cast<int>(bits(k, i, 5) + carry);  // odd, in [1, 31]
+    carry = word > 16 ? 1 : 0;
+    word -= static_cast<int>(carry) << 5;
+    digits[static_cast<std::size_t>(i)] = static_cast<std::int8_t>(word);
+    i += 5;
+  }
+  return digits;
+}
+
+// k*Q for an arbitrary point by width-5 wNAF over the odd multiples
+// Q, 3Q, ..., 15Q.
+Jacobian mul_wnaf(const U256& k, const Affine& q) {
+  std::array<Jacobian, 8> odd;
+  odd[0] = from_affine(q);
+  const Jacobian q2 = dbl(odd[0]);
+  for (std::size_t i = 1; i < odd.size(); ++i) odd[i] = add(odd[i - 1], q2);
+  const auto digits = wnaf5(k);
+  Jacobian acc = kInfinity;
+  for (int i = 256; i >= 0; --i) {
+    acc = dbl(acc);
+    const int d = digits[static_cast<std::size_t>(i)];
+    if (d > 0) acc = add(acc, odd[static_cast<std::size_t>(d / 2)]);
+    if (d < 0) acc = add(acc, negate(odd[static_cast<std::size_t>(-d / 2)]));
+  }
+  return acc;
 }
 
 }  // namespace
 
 bool AffinePoint::on_curve() const {
   if (infinity) return true;
-  const U256& p = p256::prime();
-  if (!(x < p) || !(y < p)) return false;
+  if (!(x < kFp.modulus()) || !(y < kFp.modulus())) return false;
   // y^2 == x^3 - 3x + b (mod p)
-  const U256 lhs = field_sqr(y);
-  const U256 x3 = field_mul(field_sqr(x), x);
-  const U256 threex = field_add(field_add(x, x), x);
-  const U256 rhs = field_add(field_sub(x3, threex), p256::coeff_b());
-  return lhs == rhs;
+  const Affine m = to_internal(*this);
+  const U256 x3 = kFp.mul(kFp.sqr(m.x), m.x);
+  const U256 rhs = kFp.add(kFp.sub(x3, kFp.add(twice(m.x), m.x)), kB);
+  return kFp.sqr(m.y) == rhs;
 }
 
 Bytes AffinePoint::encode() const {
@@ -227,25 +363,26 @@ AffinePoint AffinePoint::decode(BytesView data) {
 }
 
 const AffinePoint& p256_generator() {
-  static const AffinePoint g = AffinePoint::make(
-      U256::from_hex("6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296"),
-      U256::from_hex("4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5"));
+  static const AffinePoint g = AffinePoint::make(kGx, kGy);
   return g;
 }
 
 AffinePoint p256_multiply(const U256& k, const AffinePoint& point) {
-  return jacobian_multiply(modmath::reduce(k, p256::order()), Jacobian::from_affine(point))
-      .to_affine();
+  if (point.infinity) return AffinePoint{};
+  if (point == p256_generator()) return to_affine(mul_base(k));
+  return to_affine(mul_wnaf(k, to_internal(point)));
 }
 
 AffinePoint p256_double_multiply(const U256& u1, const U256& u2, const AffinePoint& q) {
-  const Jacobian a = jacobian_multiply(u1, Jacobian::from_affine(p256_generator()));
-  const Jacobian b = jacobian_multiply(u2, Jacobian::from_affine(q));
-  return jacobian_add(a, b).to_affine();
+  const Jacobian a = mul_base(u1);
+  if (q.infinity) return to_affine(a);
+  return to_affine(add(a, mul_wnaf(u2, to_internal(q))));
 }
 
 AffinePoint p256_add(const AffinePoint& a, const AffinePoint& b) {
-  return jacobian_add(Jacobian::from_affine(a), Jacobian::from_affine(b)).to_affine();
+  if (a.infinity) return b;
+  if (b.infinity) return a;
+  return to_affine(add_mixed(from_affine(to_internal(a)), to_internal(b)));
 }
 
 Bytes EcdsaSignature::to_bytes() const {
@@ -277,30 +414,26 @@ EcdsaKeyPair EcdsaKeyPair::from_private(const U256& d) {
   if (d.is_zero() || !(d < p256::order())) {
     throw std::invalid_argument("EcdsaKeyPair: private scalar out of range");
   }
-  return EcdsaKeyPair{d, p256_multiply(d, p256_generator())};
+  return EcdsaKeyPair{d, to_affine(mul_base(d))};
 }
 
 namespace {
 
-// Digest -> scalar (bits2int for SHA-256 on a 256-bit curve, then mod n).
+// Digest -> scalar: bits2int (the identity for SHA-256 on a 256-bit
+// curve), then mod n.
 U256 digest_to_scalar(const Digest& digest) {
-  U256 e = U256::from_bytes(BytesView{digest.data(), digest.size()});
-  const U256& n = p256::order();
-  if (!(e < n)) {
-    U256 tmp;
-    U256::sub(e, n, tmp);
-    e = tmp;
-  }
-  return e;
+  return kFn.reduce(U256::from_bytes(BytesView{digest.data(), digest.size()}));
 }
 
-// RFC 6979-style deterministic nonce derivation (HMAC-DRBG construction).
-U256 deterministic_nonce(const U256& d, const Digest& digest) {
+// RFC 6979 §3.2 deterministic nonce (HMAC-DRBG). The DRBG is seeded with
+// int2octets(d) || bits2octets(h), where bits2octets(h) is the digest
+// scalar e = bits2int(h) mod n as 32 bytes.
+U256 deterministic_nonce(const U256& d, const U256& e) {
   std::array<std::uint8_t, 32> V{}, K{};
   V.fill(0x01);
   K.fill(0x00);
   const Bytes x = d.to_bytes();
-  const Bytes h(digest.begin(), digest.end());
+  const Bytes h = e.to_bytes();
 
   auto hmac = [](const std::array<std::uint8_t, 32>& key, const Bytes& msg) {
     return hmac_sha256(BytesView{key.data(), key.size()}, msg);
@@ -329,20 +462,16 @@ U256 deterministic_nonce(const U256& d, const Digest& digest) {
 }  // namespace
 
 EcdsaSignature EcdsaKeyPair::sign_digest(const Digest& digest) const {
-  const U256& n = p256::order();
   const U256 e = digest_to_scalar(digest);
-  U256 k = deterministic_nonce(d_, digest);
+  U256 k = deterministic_nonce(d_, e);
   while (true) {
-    const AffinePoint R = p256_multiply(k, p256_generator());
-    const U256 r = modmath::reduce(R.x, n);
+    const U256 r = kFn.reduce(to_affine(mul_base(k)).x);
     if (!r.is_zero()) {
-      const U256 kinv = modmath::inverse(k, n);
-      const U256 rd = modmath::mul(r, d_, n);
-      const U256 s = modmath::mul(kinv, modmath::add(e, rd, n), n);
+      const U256 s = p256::scalar_mul(p256::scalar_inv(k), kFn.add(e, p256::scalar_mul(r, d_)));
       if (!s.is_zero()) return EcdsaSignature{r, s};
     }
     // Exceedingly unlikely; perturb the nonce deterministically and retry.
-    k = modmath::add(k, U256{1}, n);
+    k = kFn.add(k, U256{1});
     if (k.is_zero()) k = U256{1};
   }
 }
@@ -357,12 +486,11 @@ bool ecdsa_verify_digest(const AffinePoint& public_key, const Digest& digest,
   if (public_key.infinity || !public_key.on_curve()) return false;
   if (sig.r.is_zero() || !(sig.r < n) || sig.s.is_zero() || !(sig.s < n)) return false;
   const U256 e = digest_to_scalar(digest);
-  const U256 w = modmath::inverse(sig.s, n);
-  const U256 u1 = modmath::mul(e, w, n);
-  const U256 u2 = modmath::mul(sig.r, w, n);
-  const AffinePoint R = p256_double_multiply(u1, u2, public_key);
+  const U256 w = p256::scalar_inv(sig.s);
+  const AffinePoint R =
+      p256_double_multiply(p256::scalar_mul(e, w), p256::scalar_mul(sig.r, w), public_key);
   if (R.infinity) return false;
-  return modmath::reduce(R.x, n) == sig.r;
+  return kFn.reduce(R.x) == sig.r;
 }
 
 bool ecdsa_verify(const AffinePoint& public_key, BytesView message, const EcdsaSignature& sig) {

@@ -74,171 +74,4 @@ int U256::bit_length() const {
   return 0;
 }
 
-bool U256::add(const U256& a, const U256& b, U256& out) {
-  unsigned __int128 carry = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    const unsigned __int128 sum =
-        static_cast<unsigned __int128>(a.limb[i]) + b.limb[i] + carry;
-    out.limb[i] = static_cast<std::uint64_t>(sum);
-    carry = sum >> 64;
-  }
-  return carry != 0;
-}
-
-bool U256::sub(const U256& a, const U256& b, U256& out) {
-  unsigned __int128 borrow = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    const unsigned __int128 diff =
-        static_cast<unsigned __int128>(a.limb[i]) - b.limb[i] - borrow;
-    out.limb[i] = static_cast<std::uint64_t>(diff);
-    borrow = (diff >> 64) & 1;
-  }
-  return borrow != 0;
-}
-
-U512 U256::mul(const U256& a, const U256& b) {
-  U512 out;
-  for (std::size_t i = 0; i < 4; ++i) {
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < 4; ++j) {
-      const unsigned __int128 cur = static_cast<unsigned __int128>(a.limb[i]) * b.limb[j] +
-                                    out.limb[i + j] + carry;
-      out.limb[i + j] = static_cast<std::uint64_t>(cur);
-      carry = static_cast<std::uint64_t>(cur >> 64);
-    }
-    out.limb[i + 4] = carry;
-  }
-  return out;
-}
-
-U256 U256::shr1() const {
-  U256 out;
-  for (std::size_t i = 0; i < 4; ++i) {
-    out.limb[i] = limb[i] >> 1;
-    if (i < 3) out.limb[i] |= limb[i + 1] << 63;
-  }
-  return out;
-}
-
-namespace modmath {
-
-U256 add(const U256& a, const U256& b, const U256& m) {
-  U256 sum;
-  const bool carry = U256::add(a, b, sum);
-  if (carry || sum >= m) {
-    U256 reduced;
-    U256::sub(sum, m, reduced);
-    return reduced;
-  }
-  return sum;
-}
-
-U256 sub(const U256& a, const U256& b, const U256& m) {
-  U256 diff;
-  if (U256::sub(a, b, diff)) {
-    U256 wrapped;
-    U256::add(diff, m, wrapped);
-    return wrapped;
-  }
-  return diff;
-}
-
-U256 reduce(const U256& x, const U256& m) {
-  U256 r = x;
-  while (r >= m) {
-    U256 tmp;
-    U256::sub(r, m, tmp);
-    r = tmp;
-  }
-  return r;
-}
-
-U256 reduce(const U512& x, const U256& m) {
-  if (m.is_zero()) throw std::domain_error("modmath::reduce: zero modulus");
-  // Binary long division over the 512-bit value. r accumulates the remainder
-  // and never exceeds 2m before the conditional subtraction.
-  U256 r;
-  const int top = 511;
-  for (int i = top; i >= 0; --i) {
-    // r = (r << 1) | bit(i)
-    bool overflow = r.bit(255);
-    U256 shifted;
-    for (std::size_t k = 3; k > 0; --k) {
-      shifted.limb[k] = (r.limb[k] << 1) | (r.limb[k - 1] >> 63);
-    }
-    shifted.limb[0] = (r.limb[0] << 1) | (x.bit(i) ? 1u : 0u);
-    r = shifted;
-    if (overflow || r >= m) {
-      U256 tmp;
-      U256::sub(r, m, tmp);
-      r = tmp;
-    }
-  }
-  return r;
-}
-
-U256 mul(const U256& a, const U256& b, const U256& m) {
-  return reduce(U256::mul(a, b), m);
-}
-
-U256 inverse(const U256& a, const U256& m) {
-  if (a.is_zero()) throw std::domain_error("modmath::inverse of zero");
-  if (!m.is_odd()) throw std::domain_error("modmath::inverse requires odd modulus");
-  // Binary extended GCD (HAC Algorithm 14.61 style, specialized for odd m).
-  U256 u = reduce(a, m);
-  U256 v = m;
-  U256 x1{1};
-  U256 x2{0};
-  while (!u.is_zero() && !(u == U256{1}) && !(v == U256{1})) {
-    while (!u.is_odd()) {
-      u = u.shr1();
-      if (x1.is_odd()) {
-        U256 t;
-        const bool carry = U256::add(x1, m, t);
-        x1 = t.shr1();
-        if (carry) x1.limb[3] |= 1ULL << 63;
-      } else {
-        x1 = x1.shr1();
-      }
-    }
-    while (!v.is_odd()) {
-      v = v.shr1();
-      if (x2.is_odd()) {
-        U256 t;
-        const bool carry = U256::add(x2, m, t);
-        x2 = t.shr1();
-        if (carry) x2.limb[3] |= 1ULL << 63;
-      } else {
-        x2 = x2.shr1();
-      }
-    }
-    if (u >= v) {
-      U256 t;
-      U256::sub(u, v, t);
-      u = t;
-      x1 = sub(x1, x2, m);
-    } else {
-      U256 t;
-      U256::sub(v, u, t);
-      v = t;
-      x2 = sub(x2, x1, m);
-    }
-  }
-  if (u.is_zero() && !(v == U256{1})) throw std::domain_error("modmath::inverse: not invertible");
-  return (u == U256{1}) ? reduce(x1, m) : reduce(x2, m);
-}
-
-U256 pow(const U256& a, const U256& e, const U256& m) {
-  U256 result{1};
-  U256 base = reduce(a, m);
-  const int bits = e.bit_length();
-  for (int i = 0; i < bits; ++i) {
-    if (e.bit(i)) result = mul(result, base, m);
-    base = mul(base, base, m);
-  }
-  return result;
-}
-
-}  // namespace modmath
-
 }  // namespace ctwatch::crypto

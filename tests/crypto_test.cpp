@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "ctwatch/crypto/ec_p256.hpp"
 #include "ctwatch/crypto/sha256.hpp"
 #include "ctwatch/crypto/signature.hpp"
 #include "ctwatch/util/rng.hpp"
+#include "p256_oracle.hpp"
 
 namespace ctwatch::crypto {
 namespace {
@@ -132,7 +136,7 @@ TEST(ModMathTest, MulMatchesSchoolbookSmall) {
   for (int i = 0; i < 500; ++i) {
     const std::uint64_t a = rng.below(1000003);
     const std::uint64_t b = rng.below(1000003);
-    const U256 r = modmath::mul(U256{a}, U256{b}, m);
+    const U256 r = oracle::mul(U256{a}, U256{b}, m);
     EXPECT_EQ(r.limb[0], static_cast<std::uint64_t>((static_cast<unsigned __int128>(a) * b) %
                                                     1000003));
   }
@@ -144,28 +148,28 @@ TEST(ModMathTest, InverseTimesSelfIsOne) {
   for (int i = 0; i < 25; ++i) {
     const U256 a(rng(), rng(), rng(), 0);
     if (a.is_zero()) continue;
-    const U256 inv = modmath::inverse(a, n);
-    EXPECT_EQ(modmath::mul(modmath::reduce(a, n), inv, n), U256{1});
+    const U256 inv = p256::scalar_inv(a);
+    EXPECT_EQ(p256::scalar_mul(a, inv), U256{1});
+    EXPECT_EQ(inv, oracle::inverse(a, n));
   }
 }
 
 TEST(ModMathTest, FermatMatchesEuclid) {
   // a^(p-2) == a^-1 mod p for prime p.
-  const U256& p = p256::prime();
-  U256 p_minus_2;
-  U256::sub(p, U256{2}, p_minus_2);
   const U256 a = U256::from_hex("123456789abcdef0fedcba9876543210aabbccddeeff00112233445566778899");
-  EXPECT_EQ(modmath::pow(a, p_minus_2, p), modmath::inverse(a, p));
+  EXPECT_EQ(p256::field_inv(a), oracle::inverse(a, p256::prime()));
 }
 
 TEST(ModMathTest, FastP256ReductionMatchesGeneric) {
-  // The Solinas reduction must agree with binary long division.
+  // The Montgomery multiply and the Solinas reduction must agree with
+  // binary long division.
   Rng rng(10);
   const U256& p = p256::prime();
   for (int i = 0; i < 300; ++i) {
-    const U256 a = modmath::reduce(U256(rng(), rng(), rng(), rng()), p);
-    const U256 b = modmath::reduce(U256(rng(), rng(), rng(), rng()), p);
-    EXPECT_EQ(p256::field_mul(a, b), modmath::mul(a, b, p)) << "iteration " << i;
+    const U256 a = oracle::reduce(U256(rng(), rng(), rng(), rng()), p);
+    const U256 b = oracle::reduce(U256(rng(), rng(), rng(), rng()), p);
+    EXPECT_EQ(p256::field_mul(a, b), oracle::mul(a, b, p)) << "iteration " << i;
+    EXPECT_EQ(oracle::field_mul(a, b), oracle::mul(a, b, p)) << "iteration " << i;
   }
 }
 
@@ -204,6 +208,53 @@ TEST(P256Test, DecodeRejectsOffCurvePoint) {
   EXPECT_THROW(AffinePoint::decode(bad), std::invalid_argument);
 }
 
+// -P for a finite point P.
+AffinePoint negated(const AffinePoint& point) {
+  U256 y;
+  U256::sub(p256::prime(), point.y, y);
+  return AffinePoint::make(point.x, y);
+}
+
+U256 order_minus(std::uint64_t v) {
+  U256 out;
+  U256::sub(p256::order(), U256{v}, out);
+  return out;
+}
+
+Digest digest_of(const U256& value) {
+  const Bytes raw = value.to_bytes();
+  Digest digest{};
+  std::copy(raw.begin(), raw.end(), digest.begin());
+  return digest;
+}
+
+TEST(P256Test, AddingAPointToItselfDoubles) {
+  const AffinePoint g = p256_generator();
+  EXPECT_EQ(p256_add(g, g), p256_multiply(U256{2}, g));
+  const AffinePoint p = p256_multiply(U256{5}, g);
+  EXPECT_EQ(p256_add(p, p), p256_multiply(U256{10}, g));
+}
+
+TEST(P256Test, AddingANegatedPointGivesInfinity) {
+  const AffinePoint p = p256_multiply(U256{7}, p256_generator());
+  EXPECT_TRUE(p256_add(p, negated(p)).infinity);
+  EXPECT_TRUE(p256_add(p256_generator(), negated(p256_generator())).infinity);
+  EXPECT_EQ(p256_multiply(order_minus(1), p256_generator()), negated(p256_generator()));
+}
+
+TEST(P256Test, DoubleMultiplyCollidingHalves) {
+  // u*G + u*G must double; u*G + u*(-G) and u*G + (n-u)*G cancel.
+  const AffinePoint g = p256_generator();
+  const U256 u = U256::from_hex("5ec1a1b2c3d4e5f60718293a4b5c6d7e8f90a1b2c3d4e5f60718293a4b5c6d7e");
+  EXPECT_EQ(p256_double_multiply(u, u, g), p256_multiply(p256::scalar_mul(u, U256{2}), g));
+  EXPECT_TRUE(p256_double_multiply(u, u, negated(g)).infinity);
+  U256 n_minus_u;
+  U256::sub(p256::order(), u, n_minus_u);
+  EXPECT_TRUE(p256_double_multiply(u, n_minus_u, g).infinity);
+  EXPECT_EQ(p256_double_multiply(U256{0}, U256{1}, g), g);
+  EXPECT_EQ(p256_double_multiply(U256{1}, U256{0}, g), g);
+}
+
 TEST(EcdsaTest, Rfc6979SampleVector) {
   // RFC 6979 A.2.5, P-256 + SHA-256, message "sample".
   const auto key = EcdsaKeyPair::from_private(
@@ -234,7 +285,7 @@ TEST(EcdsaTest, SignVerifyRoundTrip) {
 TEST(EcdsaTest, TamperedSignatureRejected) {
   const auto key = EcdsaKeyPair::derive("tamper");
   EcdsaSignature sig = key.sign(to_bytes("msg"));
-  sig.r = modmath::add(sig.r, U256{1}, p256::order());
+  sig.r = oracle::add(sig.r, U256{1}, p256::order());
   EXPECT_FALSE(ecdsa_verify(key.public_point(), to_bytes("msg"), sig));
 }
 
@@ -254,6 +305,44 @@ TEST(EcdsaTest, RejectsOutOfRangeSignatureParts) {
   EcdsaSignature big_s = sig;
   big_s.s = p256::order();
   EXPECT_FALSE(ecdsa_verify(key.public_point(), to_bytes("msg"), big_s));
+}
+
+TEST(EcdsaTest, NonceUsesDigestReducedModOrder) {
+  // RFC 6979 §3.2 step d seeds the DRBG with bits2octets(h) =
+  // int2octets(bits2int(h) mod n), so digests congruent mod n sign alike.
+  const auto key = EcdsaKeyPair::from_private(
+      U256::from_hex("c9afa9d845ba75166b5c215767b1d6934e50c3db36e89b127b8a622b120f6721"));
+  U256 n_plus_5;
+  U256::add(p256::order(), U256{5}, n_plus_5);
+  EXPECT_EQ(key.sign_digest(digest_of(n_plus_5)), key.sign_digest(digest_of(U256{5})));
+  // Digest 2^256 - 1 (above n); signature from an independent RFC 6979
+  // implementation (OpenSSL via Python cryptography, Prehashed SHA-256).
+  const EcdsaSignature sig = key.sign_digest(digest_of(U256{~0ULL, ~0ULL, ~0ULL, ~0ULL}));
+  EXPECT_EQ(sig.r.to_hex(), "1f2adbc54b88764c279f689fc9505959fc9e73e80dc20889a4e0be91865de75b");
+  EXPECT_EQ(sig.s.to_hex(), "9d109b65e2fbfc0ae42ba0b2e5f03670cd458cff4882df6783f3d93d607d1755");
+}
+
+TEST(EcdsaTest, VerifyRejectsSignatureWhoseSumIsInfinity) {
+  // With s = 1: u1 = e and u2 = r, so e = -r*d mod n makes u1*G + u2*Q = 0.
+  const auto key = EcdsaKeyPair::derive("infinity-sum");
+  const U256 r = U256::from_hex("0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef");
+  U256 e;
+  U256::sub(p256::order(), p256::scalar_mul(r, key.private_scalar()), e);
+  EXPECT_TRUE(p256_double_multiply(e, r, key.public_point()).infinity);
+  EXPECT_FALSE(ecdsa_verify_digest(key.public_point(), digest_of(e), EcdsaSignature{r, U256{1}}));
+}
+
+TEST(EcdsaTest, PublicKeysPlusAndMinusGenerator) {
+  const auto plus = EcdsaKeyPair::from_private(U256{1});
+  const auto minus = EcdsaKeyPair::from_private(order_minus(1));
+  EXPECT_EQ(plus.public_point(), p256_generator());
+  EXPECT_EQ(minus.public_point(), negated(p256_generator()));
+  for (const auto* key : {&plus, &minus}) {
+    const EcdsaSignature sig = key->sign(to_bytes("msg"));
+    EXPECT_TRUE(ecdsa_verify(key->public_point(), to_bytes("msg"), sig));
+    EXPECT_FALSE(ecdsa_verify(key->public_point(), to_bytes("msh"), sig));
+  }
+  EXPECT_FALSE(ecdsa_verify(minus.public_point(), to_bytes("msg"), plus.sign(to_bytes("msg"))));
 }
 
 TEST(EcdsaTest, DerivedKeysAreReproducibleAndDistinct) {
@@ -294,6 +383,50 @@ TEST_P(SignerSchemeTest, KeyIdIsStablePerLabel) {
   const auto c = make_signer("other-label", GetParam());
   EXPECT_NE(hex_encode(BytesView{a->key_id().data(), 32}),
             hex_encode(BytesView{c->key_id().data(), 32}));
+}
+
+TEST(SignatureBlobTest, MalformedEcdsaInputsVerifyFalse) {
+  const auto signer = EcdsaSigner::derive("malformed");
+  const Bytes key = signer->public_key();
+  const Bytes message = to_bytes("payload");
+  const SignatureBlob good = signer->sign(message);
+  ASSERT_TRUE(verify_signature(key, message, good));
+
+  auto with_part = [&](std::size_t offset, const U256& value) {
+    SignatureBlob blob = good;
+    const Bytes raw = value.to_bytes();
+    std::copy(raw.begin(), raw.end(), blob.data.begin() + static_cast<std::ptrdiff_t>(offset));
+    return blob;
+  };
+  const U256 all_ones{~0ULL, ~0ULL, ~0ULL, ~0ULL};
+  std::vector<SignatureBlob> bad_sigs;
+  for (const std::size_t size : {std::size_t{63}, std::size_t{65}}) {
+    SignatureBlob blob = good;
+    blob.data.resize(size);
+    bad_sigs.push_back(blob);
+  }
+  for (const std::size_t offset : {std::size_t{0}, std::size_t{32}}) {  // r, then s
+    for (const U256& value : {U256{0}, p256::order(), all_ones}) {
+      bad_sigs.push_back(with_part(offset, value));
+    }
+  }
+  for (const SignatureBlob& blob : bad_sigs) {
+    EXPECT_NO_THROW(EXPECT_FALSE(verify_signature(key, message, blob)));
+  }
+
+  // Keys: the point at infinity, and coordinates at or above p.
+  std::vector<Bytes> bad_keys = {Bytes{0x00}};
+  for (const std::size_t offset : {std::size_t{1}, std::size_t{33}}) {  // x, then y
+    for (const U256& value : {p256::prime(), all_ones}) {
+      Bytes point = key;
+      const Bytes raw = value.to_bytes();
+      std::copy(raw.begin(), raw.end(), point.begin() + static_cast<std::ptrdiff_t>(offset));
+      bad_keys.push_back(point);
+    }
+  }
+  for (const Bytes& bad_key : bad_keys) {
+    EXPECT_NO_THROW(EXPECT_FALSE(verify_signature(bad_key, message, good)));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SignerSchemeTest,
