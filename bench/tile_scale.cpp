@@ -12,14 +12,17 @@
 // submits --live entries through the real sequencer so queries straddle
 // the paged/resident boundary, then drives --queries random inclusion +
 // consistency proofs and get-entries windows through the tile cache,
-// verifying EVERY proof cryptographically against the served STH.
+// verifying EVERY proof cryptographically: inclusion against the served
+// STH, consistency against the served STH and the old root, which a
+// tiled_root over the bench's own PagedLeafSource computes untimed.
 //
 // Byte-identical parity at any scale without residency: the reference
-// proofs for --parity-samples sampled queries are computed by the
-// resident RFC 6962 recursion over a leaf accessor that RECOMPUTES each
-// synthetic leaf hash on demand — O(n) hashing per sample, zero bytes
-// resident — so a 10^6-leaf run still byte-compares tiled proofs against
-// the in-core math while peak RSS stays tile-cache-sized.
+// proofs for --parity-samples sampled queries are computed by the plain
+// RFC 6962 recursion (tests/merkle_oracle.hpp) over a leaf accessor that
+// RECOMPUTES each synthetic leaf hash on demand — O(n) hashing per
+// sample, zero bytes resident — so a 10^6-leaf run still byte-compares
+// tiled proofs against the textbook math while peak RSS stays
+// tile-cache-sized.
 //
 //   ./tile_scale --leaves=1000000 --budget-mb=128 --strict
 //
@@ -46,9 +49,11 @@
 #include "bench_common.hpp"
 #include "ctwatch/ct/merkle.hpp"
 #include "ctwatch/ct/sct.hpp"
+#include "ctwatch/ct/tiled.hpp"
 #include "ctwatch/logsvc/logsvc.hpp"
 #include "ctwatch/storage/log_store.hpp"
 #include "ctwatch/storage/tile_cache.hpp"
+#include "merkle_oracle.hpp"
 
 namespace {
 
@@ -158,7 +163,7 @@ int main(int argc, char** argv) {
   const Options options = parse_options(argc, argv);
   bench::banner("tile scale: out-of-core proofs under a fixed memory budget",
                 "checkpointed prefix served from the tile cache; proofs byte-checked vs "
-                "the resident recursion");
+                "the oracle recursion");
 
   std::string dir_template = "ctwatch_tile_scale.XXXXXX";
   const char* dir_raw = ::mkdtemp(dir_template.data());
@@ -297,11 +302,13 @@ int main(int argc, char** argv) {
     if (q % 4 == 0) {
       const std::uint64_t old_size = 1 + rng() % size;
       const std::vector<crypto::Digest> cons = service.consistency_proof(old_size, size);
-      // The old root is a prefix root of the same append-only tree: the
-      // accumulator frontier at old_size is not retained, so verify via
-      // the recomputing recursion only for the sampled parity below;
-      // here, shape-check + non-triviality.
-      if (old_size != size && cons.empty() && old_size != 0) ++verify_failures;
+      // The old root is a prefix root of the same append-only tree; the
+      // bench's own source resolves it from the cached tile pages.
+      storage::PagedLeafSource old_source(&store.tile_cache(), store.paged_leaves(), leaf_fn);
+      const crypto::Digest old_root = ct::tiled_root(old_source, old_size);
+      if (!ct::verify_consistency(old_size, size, old_root, sth.root_hash, cons)) {
+        ++verify_failures;
+      }
     }
     if (q % 8 == 0) {
       const std::uint64_t start = rng() % size;
@@ -321,22 +328,23 @@ int main(int argc, char** argv) {
   const auto parity_start = std::chrono::steady_clock::now();
   for (std::uint64_t s = 0; s < options.parity_samples; ++s) {
     const std::uint64_t index = rng() % size;
-    if (service.inclusion_proof(index, size) != ct::merkle_inclusion_path(leaf_fn, index, size)) {
+    if (service.inclusion_proof(index, size) !=
+        ct::oracle::merkle_inclusion_path(leaf_fn, index, size)) {
       ++parity_mismatches;
       std::fprintf(stderr, "FAIL: inclusion parity mismatch at index %" PRIu64 "\n", index);
     }
     const std::uint64_t old_size = 1 + rng() % size;
     if (service.consistency_proof(old_size, size) !=
-        ct::merkle_consistency_path(leaf_fn, old_size, size)) {
+        ct::oracle::merkle_consistency_path(leaf_fn, old_size, size)) {
       ++parity_mismatches;
       std::fprintf(stderr, "FAIL: consistency parity mismatch at old size %" PRIu64 "\n",
                    old_size);
     }
   }
   if (options.parity_samples > 0 &&
-      sth.root_hash != ct::merkle_root_of(leaf_fn, size)) {
+      sth.root_hash != ct::oracle::merkle_root_of(leaf_fn, size)) {
     ++parity_mismatches;
-    std::fprintf(stderr, "FAIL: served root diverges from the resident recursion\n");
+    std::fprintf(stderr, "FAIL: served root diverges from the oracle recursion\n");
   }
   const double parity_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - parity_start).count();

@@ -9,10 +9,11 @@
 // tree heads and the tests actively tamper with histories to confirm
 // detection.
 //
-// Root and proof computation is written once, as templates over a leaf
-// accessor (index -> leaf hash), so that `MerkleTree` (contiguous vector
-// storage) and `logsvc`'s concurrent chunked leaf store share the exact
-// same RFC 6962 math instead of duplicating it.
+// This header holds the hashing primitives, the incremental root, the
+// resident tree and the proof verifiers. Historic roots and proofs are
+// computed in one place, ct/tiled.hpp: `MerkleTree` and a resident log
+// service read through a TileSource with no pages, a paged log service
+// through its tile cache.
 #pragma once
 
 #include <cstdint>
@@ -38,76 +39,6 @@ namespace detail {
 /// Largest power of two strictly less than n (n >= 2).
 std::uint64_t merkle_split_point(std::uint64_t n);
 }  // namespace detail
-
-/// MTH(D[begin:end]) over any leaf accessor `leaf(index) -> Digest`.
-/// Requires end > begin.
-template <typename LeafFn>
-Digest merkle_range_root(const LeafFn& leaf, std::uint64_t begin, std::uint64_t end) {
-  const std::uint64_t n = end - begin;
-  if (n == 1) return leaf(begin);
-  const std::uint64_t k = detail::merkle_split_point(n);
-  return node_hash(merkle_range_root(leaf, begin, begin + k),
-                   merkle_range_root(leaf, begin + k, end));
-}
-
-/// MTH of the first `n` leaves; the empty-tree root when n == 0.
-template <typename LeafFn>
-Digest merkle_root_of(const LeafFn& leaf, std::uint64_t n) {
-  if (n == 0) return empty_tree_root();
-  return merkle_range_root(leaf, 0, n);
-}
-
-/// PATH(m, D[0:tree_size]) per RFC 6962 §2.1.1 — the audit path proving
-/// leaf `index` is in the tree of size `tree_size`. The caller must have
-/// bounds-checked index < tree_size <= leaf count.
-template <typename LeafFn>
-std::vector<Digest> merkle_inclusion_path(const LeafFn& leaf, std::uint64_t index,
-                                          std::uint64_t tree_size) {
-  // Iterative over the recursion, collecting siblings root-to-leaf.
-  std::uint64_t begin = 0, end = tree_size, m = index;
-  std::vector<Digest> reversed;
-  while (end - begin > 1) {
-    const std::uint64_t k = detail::merkle_split_point(end - begin);
-    if (m < begin + k) {
-      reversed.push_back(merkle_range_root(leaf, begin + k, end));
-      end = begin + k;
-    } else {
-      reversed.push_back(merkle_range_root(leaf, begin, begin + k));
-      begin += k;
-    }
-  }
-  return {reversed.rbegin(), reversed.rend()};
-}
-
-/// PROOF(old_size, D[0:new_size]) per RFC 6962 §2.1.2. The caller must
-/// have bounds-checked old_size <= new_size <= leaf count.
-template <typename LeafFn>
-std::vector<Digest> merkle_consistency_path(const LeafFn& leaf, std::uint64_t old_size,
-                                            std::uint64_t new_size) {
-  if (old_size == new_size || old_size == 0) return {};
-  struct Helper {
-    const LeafFn& leaf;
-    std::vector<Digest> subproof(std::uint64_t m, std::uint64_t begin, std::uint64_t end,
-                                 bool whole) const {
-      const std::uint64_t n = end - begin;
-      if (m == n) {
-        if (whole) return {};
-        return {merkle_range_root(leaf, begin, end)};
-      }
-      const std::uint64_t k = detail::merkle_split_point(n);
-      std::vector<Digest> out;
-      if (m <= k) {
-        out = subproof(m, begin, begin + k, whole);
-        out.push_back(merkle_range_root(leaf, begin + k, end));
-      } else {
-        out = subproof(m - k, begin + k, end, false);
-        out.push_back(merkle_range_root(leaf, begin, begin + k));
-      }
-      return out;
-    }
-  };
-  return Helper{leaf}.subproof(old_size, 0, new_size, true);
-}
 
 /// Incremental RFC 6962 root: the binary counter of perfect-subtree
 /// hashes, one stack slot per set bit of the size. O(log n) amortized per
@@ -144,7 +75,8 @@ class RootAccumulator {
 /// An append-only Merkle tree over pre-hashed leaves.
 ///
 /// Appends are O(log n) amortized (via RootAccumulator); proofs and
-/// historic roots are computed by recursion over the stored leaf hashes.
+/// historic roots fold the stored leaf hashes through the tiled math over
+/// a MemoryLeafSource (no pages), O(n) hashing per call.
 class MerkleTree {
  public:
   /// Appends a leaf (already leaf-hashed) and returns its index.

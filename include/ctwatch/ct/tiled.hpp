@@ -1,11 +1,11 @@
-// Tile-addressed RFC 6962 proof math — O(log n) page fetches.
+// Tile-addressed RFC 6962 proof math — the one engine every historic
+// root, inclusion path and consistency path in ctwatch goes through.
 //
-// The resident proof path (merkle.hpp) recurses over an in-memory leaf
-// vector: every proof touches O(n) leaves. At paper scale (10⁸–10⁹
+// The math is the RFC 6962 §2.1 recursion, but it short-circuits every
+// perfect subtree that a tile page already names. At paper scale (10⁸–10⁹
 // entries) the leaves live in checksummed 256-wide tile pages on disk,
 // with upper-level tiles holding the roots of perfect 256^L-leaf
-// subtrees. This header computes the SAME recursion, but short-circuits
-// every perfect subtree that a persisted tile entry already names:
+// subtrees:
 //
 //   MTH(D[i·2^j : (i+1)·2^j])  =  fold of 2^(j mod 8) adjacent entries
 //                                 of the level-(j/8) tile — one page —
@@ -14,18 +14,22 @@
 // spread over O(log n / 8) distinct pages, plus the resident tail. When
 // a subtree is not fully covered by pages (it crosses the persistence
 // watermark, or the upper level is still partial), the recursion falls
-// through to the children and ultimately to TileSource::leaf — which is
-// why the output is byte-identical to merkle_* by construction: every
-// short-circuit replaces a subtree root with the same value the
-// recursion would have computed.
+// through to the children and ultimately to TileSource::leaf. Every
+// short-circuit replaces a subtree root with the same value the plain
+// recursion would have computed, so the output does not depend on which
+// pages a source has; tests/merkle_oracle.hpp keeps that plain recursion
+// as the differential oracle.
 //
-// TileSource is the seam between this math and ctwatch::storage: the
-// storage adapter pins cache pages for the source's lifetime, serves the
-// unsealed tail from resident memory, and counts page fetches for the
-// proof_page_fetches histogram.
+// TileSource is the seam between this math and where the hashes live.
+// Resident trees (MerkleTree, a LogService that does not read pages) use
+// a source with watermark 0: no page is ever consulted, every hash folds
+// up from leaf(), O(n) per proof. The storage adapter pins cache pages
+// for the source's lifetime, serves the unsealed tail from resident
+// memory, and counts page fetches for the proof_page_fetches histogram.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ctwatch/crypto/sha256.hpp"
@@ -65,27 +69,39 @@ class TileSource {
   virtual Digest leaf(std::uint64_t index) = 0;
 };
 
+/// A source with no pages over a resident leaf-hash array: every subtree
+/// folds up from leaf(i). MerkleTree proves through this.
+class MemoryLeafSource final : public TileSource {
+ public:
+  explicit MemoryLeafSource(std::span<const Digest> leaves) : leaves_(leaves) {}
+
+  [[nodiscard]] std::uint64_t paged_leaves() const override { return 0; }
+  bool page(unsigned, std::uint64_t, std::uint64_t, TilePageView&) override { return false; }
+  Digest leaf(std::uint64_t index) override { return leaves_[index]; }
+
+ private:
+  std::span<const Digest> leaves_;
+};
+
 /// Root of the balanced tree over `count` adjacent perfect-subtree roots
 /// (count a power of two; count == 1 returns the entry itself). The fold
 /// the tile cascade and the proof math share: entry i of a level-L tile
 /// is fold_perfect over 256 entries of the level below.
 Digest fold_perfect(const Digest* entries, std::uint64_t count);
 
-/// MTH(D[begin:end]) — byte-identical to merkle_range_root.
+/// MTH(D[begin:end]). Requires end > begin.
 Digest tiled_range_root(TileSource& source, std::uint64_t begin, std::uint64_t end);
 
-/// MTH of the first n leaves (empty-tree root when n == 0) — byte-identical
-/// to merkle_root_of.
+/// MTH of the first n leaves (empty-tree root when n == 0).
 Digest tiled_root(TileSource& source, std::uint64_t n);
 
-/// PATH(m, D[0:tree_size]) — byte-identical to merkle_inclusion_path.
-/// The caller must have bounds-checked index < tree_size.
+/// PATH(m, D[0:tree_size]) per RFC 6962 §2.1.1. The caller must have
+/// bounds-checked index < tree_size.
 std::vector<Digest> tiled_inclusion_path(TileSource& source, std::uint64_t index,
                                          std::uint64_t tree_size);
 
-/// PROOF(old_size, D[0:new_size]) — byte-identical to
-/// merkle_consistency_path. The caller must have bounds-checked
-/// old_size <= new_size.
+/// PROOF(old_size, D[0:new_size]) per RFC 6962 §2.1.2. The caller must
+/// have bounds-checked old_size <= new_size.
 std::vector<Digest> tiled_consistency_path(TileSource& source, std::uint64_t old_size,
                                            std::uint64_t new_size);
 

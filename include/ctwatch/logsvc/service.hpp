@@ -312,9 +312,10 @@ class LogService {
   void publish_snapshot(ct::SignedTreeHead sth);
   [[nodiscard]] ct::SignedCertificateTimestamp sign_sct(std::uint64_t timestamp_ms,
                                                         const ct::SignedEntry& entry) const;
-  /// A per-query tile source: pages below the store's durable watermark,
-  /// the resident stores above resident_base_. Paged mode only.
-  [[nodiscard]] storage::PagedLeafSource paged_source() const;
+  /// The per-query source every proof reads. Paged mode: pages below the
+  /// store's durable watermark, the resident stores above resident_base_.
+  /// Resident mode: no pages at all, every hash from the resident stores.
+  [[nodiscard]] storage::PagedLeafSource proof_source() const;
 
   Config config_;
   std::unique_ptr<crypto::Signer> signer_;

@@ -1,11 +1,11 @@
-// ctwatch::obs — auto-ranging log-linear latency histogram.
+// ctwatch::obs — auto-ranging log-linear histogram, the registry's one
+// distribution type.
 //
-// The fixed-bucket Histogram needs its bounds chosen up front, and two
-// histograms with different bounds cannot be merged. This one can hold
-// any non-negative value without configuration: buckets are log-linear —
-// each power-of-two octave is split into kSubBuckets linear sub-buckets —
-// so recording is O(1) (a frexp plus two shifts, no bucket search) and
-// the relative quantile error is bounded by half a sub-bucket width:
+// It holds any non-negative value without bounds chosen up front, and
+// any two instances merge: buckets are log-linear — each power-of-two
+// octave is split into kSubBuckets linear sub-buckets — so recording is
+// O(1) (a frexp plus two shifts, no bucket search) and the relative
+// quantile error is bounded by half a sub-bucket width:
 //
 //     |q_reported - q_true| / q_true  <=  1 / (2 * kSubBuckets)  ~ 1.6%
 //

@@ -1,10 +1,10 @@
 // ctwatch::obs — umbrella header.
 //
 // Observability for the measurement pipeline itself: a metrics registry
-// (counters / gauges / fixed-bucket and log-linear histograms), causal
-// tracing spans with chrome://tracing export (cross-thread hand-offs as
-// flow events), an always-on flight recorder, a structured logger, and a
-// live HTTP exposition endpoint. Sits below util in the layering — it
+// (counters / gauges / log-linear histograms), causal tracing spans with
+// chrome://tracing export (cross-thread hand-offs as flow events), an
+// always-on flight recorder, a structured logger, and a live HTTP
+// exposition endpoint. Sits below util in the layering — it
 // depends on nothing else in ctwatch, so every module may instrument
 // itself freely.
 //

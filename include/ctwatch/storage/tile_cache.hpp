@@ -153,11 +153,14 @@ class TileCache {
 /// tail. The math only reaches it for i at or past the watermark (or
 /// after a page *below* the watermark failed to load, which the tail fn
 /// should surface by throwing: the httpd layer maps that to a 500).
+///
+/// `cache` may be null only with `paged_leaves == 0`: a source with no
+/// pages, whose every hash comes from `tail` (a resident log service).
 class PagedLeafSource : public ct::TileSource {
  public:
   using TailFn = std::function<crypto::Digest(std::uint64_t)>;
 
-  PagedLeafSource(TileCache& cache, std::uint64_t paged_leaves, TailFn tail)
+  PagedLeafSource(TileCache* cache, std::uint64_t paged_leaves, TailFn tail)
       : cache_(cache), paged_(paged_leaves), tail_(std::move(tail)) {}
 
   [[nodiscard]] std::uint64_t paged_leaves() const override { return paged_; }
@@ -169,7 +172,7 @@ class PagedLeafSource : public ct::TileSource {
   [[nodiscard]] std::uint64_t page_fetches() const { return fetches_; }
 
  private:
-  TileCache& cache_;
+  TileCache* cache_;
   std::uint64_t paged_;
   TailFn tail_;
   std::unordered_map<std::uint64_t, TileCache::PagePtr> held_;  ///< pins per (level,tile)

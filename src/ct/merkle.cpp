@@ -3,6 +3,8 @@
 #include <bit>
 #include <stdexcept>
 
+#include "ctwatch/ct/tiled.hpp"
+
 namespace ctwatch::ct {
 
 namespace detail {
@@ -72,7 +74,8 @@ std::uint64_t MerkleTree::append_batch(std::span<const Digest> leaves) {
 
 Digest MerkleTree::root_at(std::uint64_t n) const {
   if (n > size()) throw std::out_of_range("MerkleTree::root_at: beyond tree size");
-  return merkle_root_of([this](std::uint64_t i) -> const Digest& { return leaves_[i]; }, n);
+  MemoryLeafSource source(leaves_);
+  return tiled_root(source, n);
 }
 
 std::vector<Digest> MerkleTree::inclusion_proof(std::uint64_t index,
@@ -80,8 +83,8 @@ std::vector<Digest> MerkleTree::inclusion_proof(std::uint64_t index,
   if (tree_size > size() || index >= tree_size) {
     throw std::out_of_range("MerkleTree::inclusion_proof: bad index/size");
   }
-  return merkle_inclusion_path([this](std::uint64_t i) -> const Digest& { return leaves_[i]; },
-                               index, tree_size);
+  MemoryLeafSource source(leaves_);
+  return tiled_inclusion_path(source, index, tree_size);
 }
 
 std::vector<Digest> MerkleTree::consistency_proof(std::uint64_t old_size,
@@ -89,8 +92,8 @@ std::vector<Digest> MerkleTree::consistency_proof(std::uint64_t old_size,
   if (new_size > size() || old_size > new_size) {
     throw std::out_of_range("MerkleTree::consistency_proof: bad sizes");
   }
-  return merkle_consistency_path([this](std::uint64_t i) -> const Digest& { return leaves_[i]; },
-                                 old_size, new_size);
+  MemoryLeafSource source(leaves_);
+  return tiled_consistency_path(source, old_size, new_size);
 }
 
 bool verify_inclusion(const Digest& leaf, std::uint64_t index, std::uint64_t tree_size,

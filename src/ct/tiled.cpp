@@ -66,8 +66,8 @@ Digest tiled_root(TileSource& source, std::uint64_t n) {
 
 std::vector<Digest> tiled_inclusion_path(TileSource& source, std::uint64_t index,
                                          std::uint64_t tree_size) {
-  // The same iterative walk as merkle_inclusion_path, with each sibling
-  // subtree root resolved through the tiles.
+  // Iterative over the recursion, collecting siblings root-to-leaf; each
+  // sibling subtree root resolves through the tiles.
   std::uint64_t begin = 0, end = tree_size, m = index;
   std::vector<Digest> reversed;
   while (end - begin > 1) {

@@ -26,14 +26,13 @@ struct SvcMetrics {
   obs::Counter& sealed_batches = obs::Registry::global().counter("logsvc.sealed_batches");
   obs::Gauge& queue_depth = obs::Registry::global().gauge("logsvc.queue_depth");
   obs::Gauge& tree_size = obs::Registry::global().gauge("logsvc.tree_size");
-  obs::Histogram& batch_size = obs::Registry::global().histogram(
-      "logsvc.batch_size", obs::exponential_bounds(1.0, 2.0, 16));
-  obs::Histogram& seal_us = obs::Registry::global().histogram("logsvc.seal_us");
-  obs::Histogram& submit_to_sct_us =
-      obs::Registry::global().histogram("logsvc.submit_to_sct_us");
-  // Per-stage latencies (log-linear: auto-ranging, mergeable) — one
-  // submission's journey decomposed: ingress, queue wait, merge window,
-  // per-entry signing. Fanout dispatch lives in fanout.cpp.
+  obs::LogLinearHistogram& batch_size = obs::Registry::global().latency("logsvc.batch_size");
+  obs::LogLinearHistogram& seal_us = obs::Registry::global().latency("logsvc.seal_us");
+  obs::LogLinearHistogram& submit_to_sct_us =
+      obs::Registry::global().latency("logsvc.submit_to_sct_us");
+  // Per-stage latencies — one submission's journey decomposed: ingress,
+  // queue wait, merge window, per-entry signing. Fanout dispatch lives in
+  // fanout.cpp.
   obs::LogLinearHistogram& submit_us = obs::Registry::global().latency("logsvc.submit_us");
   obs::LogLinearHistogram& queue_wait_us =
       obs::Registry::global().latency("logsvc.queue_wait_us");
@@ -297,16 +296,20 @@ std::shared_ptr<const TreeSnapshot> LogService::snapshot() const {
   return snapshot_;
 }
 
-storage::PagedLeafSource LogService::paged_source() const {
-  storage::LogStore& store = *config_.storage;
-  // The watermark is snapshotted here; a checkpoint racing the query only
-  // advances it (append-only Merkle: perfect subtrees never change, so a
-  // newer watermark still resolves every page an older tree needs). The
-  // resident stores cover everything the pages cannot — an index below
-  // resident_base_ reaching the tail fn means a page below the durable
-  // watermark failed to load, which is corruption, not a fallthrough.
+storage::PagedLeafSource LogService::proof_source() const {
+  // Resident mode hands the math watermark 0: no page is read, even with
+  // a store attached, and every hash folds up from the resident leaves.
+  // Paged mode snapshots the store's watermark here; a checkpoint racing
+  // the query only advances it (append-only Merkle: perfect subtrees
+  // never change, so a newer watermark still resolves every page an
+  // older tree needs). The resident stores cover everything the pages
+  // cannot — an index below resident_base_ reaching the tail fn means a
+  // page below the durable watermark failed to load, which is
+  // corruption, not a fallthrough.
+  storage::LogStore* store = config_.paged_reads ? config_.storage : nullptr;
   return storage::PagedLeafSource(
-      store.tile_cache(), store.paged_leaves(), [this](std::uint64_t i) -> crypto::Digest {
+      store != nullptr ? &store->tile_cache() : nullptr,
+      store != nullptr ? store->paged_leaves() : 0, [this](std::uint64_t i) -> crypto::Digest {
         if (i < resident_base_) {
           throw std::runtime_error("logsvc: tile page unavailable for checkpointed leaf");
         }
@@ -319,12 +322,7 @@ std::vector<crypto::Digest> LogService::inclusion_proof(std::uint64_t index,
   if (tree_size > this->tree_size() || index >= tree_size) {
     throw std::out_of_range("LogService::inclusion_proof: bad index/size");
   }
-  if (resident_base_ == 0) {
-    return ct::merkle_inclusion_path(
-        [this](std::uint64_t i) -> const crypto::Digest& { return leaves_.at(i); }, index,
-        tree_size);
-  }
-  storage::PagedLeafSource source = paged_source();
+  storage::PagedLeafSource source = proof_source();
   std::vector<crypto::Digest> path = ct::tiled_inclusion_path(source, index, tree_size);
   svc_metrics().proof_page_fetches.observe(static_cast<double>(source.page_fetches()));
   return path;
@@ -335,12 +333,7 @@ std::vector<crypto::Digest> LogService::consistency_proof(std::uint64_t old_size
   if (new_size > tree_size() || old_size > new_size) {
     throw std::out_of_range("LogService::consistency_proof: bad sizes");
   }
-  if (resident_base_ == 0) {
-    return ct::merkle_consistency_path(
-        [this](std::uint64_t i) -> const crypto::Digest& { return leaves_.at(i); }, old_size,
-        new_size);
-  }
-  storage::PagedLeafSource source = paged_source();
+  storage::PagedLeafSource source = proof_source();
   std::vector<crypto::Digest> path = ct::tiled_consistency_path(source, old_size, new_size);
   svc_metrics().proof_page_fetches.observe(static_cast<double>(source.page_fetches()));
   return path;

@@ -714,7 +714,7 @@ IoError LogStore::stream_paged_leaves(
 }
 
 PagedLeafSource LogStore::leaf_source() {
-  return PagedLeafSource(*cache_, paged_leaves(), [this](std::uint64_t index) {
+  return PagedLeafSource(cache_.get(), paged_leaves(), [this](std::uint64_t index) {
     return tail_leaf(index);  // throws std::out_of_range below tail_base
   });
 }

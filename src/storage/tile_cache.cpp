@@ -186,7 +186,7 @@ bool PagedLeafSource::page(unsigned level, std::uint64_t tile, std::uint64_t min
   const std::uint64_t key = cache_key(level, tile);
   auto it = held_.find(key);
   if (it == held_.end() || it->second->count < min_count) {
-    TileCache::PagePtr fetched = cache_.get(level, tile, min_count);
+    TileCache::PagePtr fetched = cache_->get(level, tile, min_count);
     if (!fetched) return false;
     ++fetches_;
     it = held_.insert_or_assign(key, std::move(fetched)).first;

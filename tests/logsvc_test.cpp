@@ -18,6 +18,7 @@
 #include "ctwatch/obs/obs.hpp"
 #include "ctwatch/sim/ca.hpp"
 #include "ctwatch/util/rng.hpp"
+#include "merkle_oracle.hpp"
 
 namespace ctwatch::logsvc {
 namespace {
@@ -358,7 +359,7 @@ TEST(LogServiceTest, ConcurrentSubmittersAndReadersSmoke) {
           }
           const std::uint64_t old_size = index + 1;
           if (!ct::verify_consistency(old_size, sth.tree_size,
-                                      ct::merkle_root_of(
+                                      ct::oracle::merkle_root_of(
                                           [&](std::uint64_t i) { return service.leaf_hash_at(i); },
                                           old_size),
                                       sth.root_hash,

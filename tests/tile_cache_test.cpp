@@ -3,8 +3,9 @@
 // pages surviving eviction, stale-partial-page refresh, fail-closed
 // corruption), SegmentReader sparse-indexed windows, LogStore recovery
 // residency bounds (O(WAL tail), both verify modes), LogService paged
-// read mode parity against the resident path (proofs straddling the
-// paged/resident boundary byte-identically), and concurrent readers
+// read mode parity against the oracle recursion (proofs straddling the
+// paged/resident boundary byte-identically), resident mode proving from
+// memory alone with a store attached, and concurrent readers
 // hammering a deliberately tiny cache while the writer checkpoints —
 // the test TSAN gates.
 #include <gtest/gtest.h>
@@ -28,6 +29,7 @@
 #include "ctwatch/storage/tile_cache.hpp"
 #include "ctwatch/storage/tiles.hpp"
 #include "ctwatch/storage/wal.hpp"
+#include "merkle_oracle.hpp"
 
 namespace ctwatch::storage {
 namespace {
@@ -380,14 +382,14 @@ TEST(StoragePagedStoreTest, RecoveryKeepsOnlyTheWalTailResident) {
     EXPECT_EQ(chunks, 2u);
 
     // Tiled proofs through the store's own leaf source are byte-identical
-    // to the resident recursion over the same leaves.
+    // to the oracle recursion over the same leaves.
     const auto leaf_fn = [&](std::uint64_t i) -> const crypto::Digest& {
       return leaves[static_cast<std::size_t>(i)];
     };
     for (const std::uint64_t index : {0ull, 255ull, 511ull, 512ull, 599ull, 606ull}) {
       PagedLeafSource source = store.leaf_source();
       EXPECT_EQ(ct::tiled_inclusion_path(source, index, 607),
-                ct::merkle_inclusion_path(leaf_fn, index, 607))
+                ct::oracle::merkle_inclusion_path(leaf_fn, index, 607))
           << "index=" << index;
     }
     {
@@ -489,30 +491,30 @@ TEST(StoragePagedServiceTest, PagedReadsMatchResidentPathAcrossTheBoundary) {
   const std::uint64_t size = kCheckpointed + kLive;
   ASSERT_EQ(service.tree_size(), size);
 
-  // Ground truth: the resident recursion over the recorded leaf hashes.
+  // Ground truth: the oracle recursion over the recorded leaf hashes.
   const auto leaf_fn = [&](std::uint64_t i) -> const crypto::Digest& {
     return leaves[static_cast<std::size_t>(i)];
   };
   const ct::SignedTreeHead sth = service.get_sth();
   EXPECT_EQ(sth.tree_size, size);
-  EXPECT_EQ(sth.root_hash, ct::merkle_root_of(leaf_fn, size));
+  EXPECT_EQ(sth.root_hash, ct::oracle::merkle_root_of(leaf_fn, size));
 
   for (const std::uint64_t index :
        {std::uint64_t{0}, std::uint64_t{300}, std::uint64_t{511}, std::uint64_t{512},
         kCheckpointed - 1, kCheckpointed, size - 1}) {
     const std::vector<crypto::Digest> proof = service.inclusion_proof(index, size);
-    EXPECT_EQ(proof, ct::merkle_inclusion_path(leaf_fn, index, size)) << "index=" << index;
+    EXPECT_EQ(proof, ct::oracle::merkle_inclusion_path(leaf_fn, index, size)) << "index=" << index;
     EXPECT_TRUE(ct::verify_inclusion(leaves[static_cast<std::size_t>(index)], index, size, proof,
                                      sth.root_hash));
   }
   for (const std::uint64_t old_size :
        {std::uint64_t{1}, std::uint64_t{123}, std::uint64_t{512}, kCheckpointed, size}) {
     EXPECT_EQ(service.consistency_proof(old_size, size),
-              ct::merkle_consistency_path(leaf_fn, old_size, size))
+              ct::oracle::merkle_consistency_path(leaf_fn, old_size, size))
         << "old=" << old_size;
   }
   // Stale-size proofs (old snapshots) keep working below the boundary.
-  EXPECT_EQ(service.inclusion_proof(42, 500), ct::merkle_inclusion_path(leaf_fn, 42, 500));
+  EXPECT_EQ(service.inclusion_proof(42, 500), ct::oracle::merkle_inclusion_path(leaf_fn, 42, 500));
 
   // leaf_hash_at serves both sides of the boundary.
   EXPECT_EQ(service.leaf_hash_at(0), leaves[0]);
@@ -541,6 +543,55 @@ TEST(StoragePagedServiceTest, PagedReadsMatchResidentPathAcrossTheBoundary) {
   EXPECT_EQ(service.leaf_index_of(leaves[42]), 42u);
   EXPECT_EQ(service.leaf_index_of(leaves[599]), 599u);
   EXPECT_EQ(service.leaf_index_of(digest_of("never-integrated")), std::nullopt);
+
+  service.stop();
+}
+
+TEST(StoragePagedServiceTest, ResidentModeProofsReadNoTilePages) {
+  // The default (resident) service proves through the same tiled math
+  // with watermark 0: even with a checkpointed store attached, its
+  // proofs must come from the resident leaves alone.
+  TempDir dir("residentsvc");
+  LogStoreOptions options;
+  options.dir = dir.path;
+  options.checkpoint_interval_batches = 0;  // one checkpoint, at stop()
+  std::vector<crypto::Digest> leaves;
+  constexpr std::uint64_t kSize = 600;
+  {
+    LogStore::Open open = LogStore::open(options);
+    ASSERT_NE(open.store, nullptr) << open.detail;
+    logsvc::LogService service(service_config("Resident Log", open.store.get()));
+    for (std::uint64_t i = 0; i < kSize; ++i) {
+      ASSERT_EQ(submit_wait(service, "gen1", i).status, logsvc::SubmitStatus::ok);
+      leaves.push_back(service.leaf_hash_at(i));
+    }
+    service.stop();  // checkpoints: every leaf lands in a tile page
+    ASSERT_TRUE(open.store->close().ok());
+  }
+
+  LogStore::Open open = LogStore::open(options);
+  ASSERT_NE(open.store, nullptr) << open.detail;
+  ASSERT_EQ(open.store->paged_leaves(), kSize);
+  logsvc::LogService service(service_config("Resident Log", open.store.get()));
+  ASSERT_EQ(service.resident_base(), 0u);
+  ASSERT_EQ(service.tree_size(), kSize);
+
+  const TileCache& cache = open.store->tile_cache();
+  const std::uint64_t lookups_before = cache.hits() + cache.misses();
+  const auto leaf_fn = [&](std::uint64_t i) -> const crypto::Digest& {
+    return leaves[static_cast<std::size_t>(i)];
+  };
+  for (const std::uint64_t index : {std::uint64_t{0}, std::uint64_t{255}, std::uint64_t{256}, kSize - 1}) {
+    EXPECT_EQ(service.inclusion_proof(index, kSize),
+              ct::oracle::merkle_inclusion_path(leaf_fn, index, kSize))
+        << "index=" << index;
+  }
+  for (const std::uint64_t old_size : {std::uint64_t{1}, std::uint64_t{256}, std::uint64_t{511}, kSize}) {
+    EXPECT_EQ(service.consistency_proof(old_size, kSize),
+              ct::oracle::merkle_consistency_path(leaf_fn, old_size, kSize))
+        << "old=" << old_size;
+  }
+  EXPECT_EQ(cache.hits() + cache.misses(), lookups_before);
 
   service.stop();
 }
@@ -579,7 +630,7 @@ TEST(StoragePagedServiceTest, ConcurrentReadersSurviveEvictionChurn) {
         const std::uint64_t index = rng() % kBase;
         // Proofs pinned at the pre-churn size touch only durable pages:
         // the tail fn must never fire.
-        PagedLeafSource source(store.tile_cache(), kBase, [&](std::uint64_t) -> crypto::Digest {
+        PagedLeafSource source(&store.tile_cache(), kBase, [&](std::uint64_t) -> crypto::Digest {
           failed.store(true);
           return {};
         });

@@ -1,9 +1,10 @@
 // Differential parity: the tile-addressed proof math (ct/tiled.hpp) must
-// be byte-identical to the resident RFC 6962 recursion (ct/merkle.hpp)
+// be byte-identical to the plain RFC 6962 recursion (merkle_oracle.hpp)
 // for every tree size, watermark position, and page-availability shape —
 // including trees that do not align to tile boundaries, proofs that
-// straddle the paged/resident boundary, and sources whose upper-level
-// pages are missing (forcing the recursion down to level 0).
+// straddle the paged/resident boundary, sources whose upper-level pages
+// are missing (forcing the recursion down to level 0), and the zero-page
+// MemoryLeafSource every resident tree proves through.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -11,9 +12,15 @@
 
 #include "ctwatch/ct/merkle.hpp"
 #include "ctwatch/ct/tiled.hpp"
+#include "merkle_oracle.hpp"
 
 namespace ctwatch::ct {
 namespace {
+
+using oracle::merkle_consistency_path;
+using oracle::merkle_inclusion_path;
+using oracle::merkle_range_root;
+using oracle::merkle_root_of;
 
 constexpr std::uint64_t kTile = 256;
 
@@ -133,6 +140,8 @@ TEST(TiledProofTest, RootParityAcrossSizesAndWatermarks) {
       FakeTileSource source(leaves, w, false, true);
       EXPECT_EQ(tiled_root(source, n), expected) << "n=" << n << " watermark=" << w;
     }
+    MemoryLeafSource memory(leaves);
+    EXPECT_EQ(tiled_root(memory, n), expected) << "n=" << n << " memory source";
   }
 }
 
@@ -160,6 +169,11 @@ TEST(TiledProofTest, InclusionParityAcrossSizesAndWatermarks) {
                                      root));
       }
     }
+    MemoryLeafSource memory(leaves);
+    for (const std::uint64_t index : {std::uint64_t{0}, n - 1, n / 2, rng() % n}) {
+      EXPECT_EQ(tiled_inclusion_path(memory, index, n), merkle_inclusion_path(leaf_fn, index, n))
+          << "n=" << n << " memory source index=" << index;
+    }
   }
 }
 
@@ -180,6 +194,12 @@ TEST(TiledProofTest, ConsistencyParityAcrossSizesAndWatermarks) {
                   merkle_consistency_path(leaf_fn, old_size, n))
             << "n=" << n << " w=" << w << " old=" << old_size;
       }
+    }
+    MemoryLeafSource memory(leaves);
+    for (const std::uint64_t old_size : {std::uint64_t{1}, n / 2, n - 1, n, 1 + rng() % n}) {
+      EXPECT_EQ(tiled_consistency_path(memory, old_size, n),
+                merkle_consistency_path(leaf_fn, old_size, n))
+          << "n=" << n << " memory source old=" << old_size;
     }
   }
 }
