@@ -38,6 +38,49 @@ void BM_EcdsaVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_EcdsaVerify);
 
+// Verification under more keys than the table cache holds, round-robin: a
+// key earns a table, is evicted before its next turn, and earns one again
+// kKeyTableAdmitAfter verifies later. The worst case for the key tables.
+void BM_EcdsaVerifyRotatingKeys(benchmark::State& state) {
+  struct Signed {
+    crypto::EcdsaKeyPair key;
+    Bytes msg;
+    crypto::EcdsaSignature sig;
+  };
+  std::vector<Signed> keys;
+  for (std::size_t i = 0; i < 2 * crypto::p256::kKeyTableCapacity; ++i) {
+    const auto key = crypto::EcdsaKeyPair::derive("bench-rotating-" + std::to_string(i));
+    Bytes msg = to_bytes("benchmark message " + std::to_string(i));
+    const auto sig = key.sign(msg);
+    keys.push_back({key, std::move(msg), sig});
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const Signed& k = keys[next];
+    next = (next + 1) % keys.size();
+    benchmark::DoNotOptimize(crypto::ecdsa_verify(k.key.public_point(), k.msg, k.sig));
+  }
+}
+BENCHMARK(BM_EcdsaVerifyRotatingKeys);
+
+// The verify that earns a fresh key its table: the table build plus one
+// verify that reads it. The key's earlier verifies run untimed.
+void BM_P256KeyTableBuild(benchmark::State& state) {
+  static int fresh = 0;
+  const Bytes msg = to_bytes("benchmark message");
+  for (auto _ : state) {
+    state.PauseTiming();
+    const auto key = crypto::EcdsaKeyPair::derive("bench-table-" + std::to_string(fresh++));
+    const auto sig = key.sign(msg);
+    for (std::uint32_t i = 1; i < crypto::p256::kKeyTableAdmitAfter; ++i) {
+      benchmark::DoNotOptimize(crypto::ecdsa_verify(key.public_point(), msg, sig));
+    }
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(crypto::ecdsa_verify(key.public_point(), msg, sig));
+  }
+}
+BENCHMARK(BM_P256KeyTableBuild)->Iterations(32)->Unit(benchmark::kMicrosecond);
+
 // P-256 building blocks. Operands are hashed at run time so nothing folds
 // to a constant; the field and scalar loops feed each result back in.
 crypto::U256 bench_scalar(const std::string& label) {

@@ -7,18 +7,31 @@
 //
 // Arithmetic mod p and mod n is Montgomery multiplication on 64-bit limbs
 // with 128-bit products; inverses are Fermat exponentiations. Points are
-// Jacobian internally. k*G (signing, key derivation) reads a fixed-base
-// window table: 43 rows of 32 affine multiples of G (86 KiB, built on first
-// use and normalised with one batched inversion), so it costs at most 43
-// mixed additions and no doublings. k*Q for any other point uses a width-5
-// wNAF. Verification computes u1*G + u2*Q as the table sum plus the wNAF,
-// with one final inversion.
+// Jacobian internally. k*P for a point with a fixed-base window table (43
+// rows of 32 affine multiples of P, 86 KiB, normalised with one batched
+// inversion) costs at most 43 mixed additions and no doublings. G has its
+// table from first use; signing and key derivation read it. k*Q for any
+// other point uses a width-5 wNAF.
+//
+// Verification computes u1*G + u2*Q. A log verifies under the same few
+// keys again and again (an issuer's chains, a log's SCTs and STHs), so a
+// public key earns a table of its own on its kKeyTableAdmitAfter-th verify,
+// and from then on u2*Q is a second table sum. A build costs about ten
+// verifies without a table, a small fraction of what the key has already
+// cost; keys that never repeat never pay for one. The process keeps at most
+// kKeyTableCapacity tables (least recently used out first) and counts
+// sightings for kKeyTableTracked keys at a time (least seen out first). The
+// check x(R) mod n == r stays in Jacobian form (X == r*Z^2, or (r+n)*Z^2
+// when r+n < p), so a verify inverts only s.
 //
 // Scope note: this implementation is for simulation and research use. It is
 // deliberately *not* constant-time: table lookups, digit-dependent additions
-// and exponent-dependent multiplications all branch on secret scalars.
+// and exponent-dependent multiplications all branch on secret scalars. The
+// key tables add timing that depends only on public keys.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 
 #include "ctwatch/crypto/sha256.hpp"
@@ -45,6 +58,27 @@ U256 field_inv(const U256& a);
 U256 scalar_mul(const U256& a, const U256& b);
 /// a^-1 mod n; zero maps to zero.
 U256 scalar_inv(const U256& a);
+
+/// Verification key tables held at most (86 KiB each).
+inline constexpr std::size_t kKeyTableCapacity = 16;
+/// The verify under a key that earns the key its table.
+inline constexpr std::uint32_t kKeyTableAdmitAfter = 128;
+/// Keys whose verifies are counted toward a table at one time.
+inline constexpr std::size_t kKeyTableTracked = 64;
+
+/// Counters of the process-wide verification key tables.
+struct KeyTableStats {
+  std::size_t cached = 0;       ///< tables held now
+  std::uint64_t builds = 0;     ///< tables built since start
+  std::uint64_t evictions = 0;  ///< tables dropped to make room
+  std::uint64_t hits = 0;       ///< double multiplications served by a table
+};
+KeyTableStats key_table_stats();
+
+/// The verifier's final check on a Jacobian point with plain coordinates
+/// X, Z < p (x = X/Z^2): true iff Z != 0 and x mod n == r, decided without
+/// inverting Z. Requires r < n.
+bool jacobian_x_mod_n_equals(const U256& X, const U256& Z, const U256& r);
 }  // namespace p256
 
 /// An affine point on P-256, or the point at infinity.
@@ -77,7 +111,8 @@ const AffinePoint& p256_generator();
 /// Scalar multiplication k * P: the fixed-base table when P is the
 /// generator, width-5 wNAF otherwise.
 AffinePoint p256_multiply(const U256& k, const AffinePoint& point);
-/// u1 * G + u2 * Q, the ECDSA verification combination (table + wNAF).
+/// u1 * G + u2 * Q, the ECDSA verification combination: the G table sum
+/// plus Q's table sum or, until Q has earned a table, a wNAF.
 AffinePoint p256_double_multiply(const U256& u1, const U256& u2, const AffinePoint& q);
 /// Point addition (one mixed Jacobian + affine addition).
 AffinePoint p256_add(const AffinePoint& a, const AffinePoint& b);

@@ -200,11 +200,14 @@ Tlv Parser::next() {
     if (count == 0 || count > sizeof(std::size_t)) {
       parse_error("unsupported length form", start);
     }
-    if (pos_ + count > data_.size()) parse_error("truncated length", start);
+    if (count > data_.size() - pos_) parse_error("truncated length", start);
+    // DER forbids leading zero octets as well as long forms below 0x80.
+    if (data_[pos_] == 0) parse_error("non-minimal length", start);
     for (std::size_t i = 0; i < count; ++i) length = length << 8 | data_[pos_++];
     if (length < 0x80) parse_error("non-minimal length", start);
   }
-  if (pos_ + length > data_.size()) parse_error("truncated value", start);
+  // Compared against the remaining bytes: pos_ + length could wrap.
+  if (length > data_.size() - pos_) parse_error("truncated value", start);
   Tlv out;
   out.tag = tag;
   out.value = data_.subspan(pos_, length);

@@ -1,6 +1,9 @@
 #include "ctwatch/crypto/ec_p256.hpp"
 
+#include <algorithm>
 #include <array>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -247,47 +250,138 @@ unsigned bits(const U256& k, int pos, int width) {
   return static_cast<unsigned>(v & ((1u << width) - 1));
 }
 
-// Fixed-base windows for k*G. k is recoded into 43 signed 6-bit digits
-// d_i in [-31, 32] with k = sum d_i * 2^(6i); row i of the table holds
-// j * 2^(6i) * G for j = 1..32 in affine form. k*G is then at most 43 mixed
+// Fixed-base windows. k is recoded into 43 signed 6-bit digits d_i in
+// [-31, 32] with k = sum d_i * 2^(6i); row i of a point P's table holds
+// j * 2^(6i) * P for j = 1..32 in affine form. k*P is then at most 43 mixed
 // additions and no doublings. The top row's digit reads only bits 252..255
-// plus a carry, so it never carries out, for any 256-bit k.
-constexpr int kBaseWindow = 6;
-constexpr int kBaseRows = (256 + kBaseWindow - 1) / kBaseWindow;
-constexpr int kBaseCols = 1 << (kBaseWindow - 1);
+// plus a carry, so it never carries out, for any 256-bit k. G has a table
+// from first use; a verification key earns one by repeating (KeyTables).
+constexpr int kWindow = 6;
+constexpr int kRows = (256 + kWindow - 1) / kWindow;
+constexpr int kCols = 1 << (kWindow - 1);
 
-// 43 * 32 points * 64 bytes = 86 KiB, built once on first use.
-const std::vector<Affine>& base_table() {
-  static const std::vector<Affine> table = [] {
-    std::vector<Jacobian> points;
-    points.reserve(kBaseRows * kBaseCols);
-    Jacobian row_base = from_affine(kG);
-    for (int i = 0; i < kBaseRows; ++i) {
-      Jacobian multiple = row_base;
-      for (int j = 0; j < kBaseCols; ++j) {
-        points.push_back(multiple);
-        multiple = add(multiple, row_base);
-      }
-      for (int b = 0; b < kBaseWindow; ++b) row_base = dbl(row_base);
+// 43 * 32 points * 64 bytes = 86 KiB.
+using Table = std::vector<Affine>;
+
+Table build_table(const Affine& p) {
+  std::vector<Jacobian> points;
+  points.reserve(kRows * kCols);
+  Jacobian row_base = from_affine(p);
+  for (int i = 0; i < kRows; ++i) {
+    Jacobian multiple = row_base;
+    for (int j = 0; j < kCols; ++j) {
+      points.push_back(multiple);
+      multiple = add(multiple, row_base);
     }
-    return batch_to_affine(points);
-  }();
+    for (int b = 0; b < kWindow; ++b) row_base = dbl(row_base);
+  }
+  return batch_to_affine(points);
+}
+
+const Table& base_table() {
+  static const Table table = build_table(kG);
   return table;
 }
 
-Jacobian mul_base(const U256& k) {
-  const std::vector<Affine>& table = base_table();
-  Jacobian acc = kInfinity;
+// acc + k*P, where table is P's.
+Jacobian add_table_sum(Jacobian acc, const U256& k, const Table& table) {
   unsigned carry = 0;
-  for (int i = 0; i < kBaseRows; ++i) {
-    int digit = static_cast<int>(bits(k, i * kBaseWindow, kBaseWindow) + carry);
-    carry = digit > kBaseCols ? 1 : 0;
-    digit -= static_cast<int>(carry) << kBaseWindow;
-    const Affine* row = &table[static_cast<std::size_t>(i * kBaseCols)];
+  for (int i = 0; i < kRows; ++i) {
+    int digit = static_cast<int>(bits(k, i * kWindow, kWindow) + carry);
+    carry = digit > kCols ? 1 : 0;
+    digit -= static_cast<int>(carry) << kWindow;
+    const Affine* row = &table[static_cast<std::size_t>(i * kCols)];
     if (digit > 0) acc = add_mixed(acc, row[digit - 1]);
     if (digit < 0) acc = add_mixed(acc, negate(row[-digit - 1]));
   }
   return acc;
+}
+
+Jacobian mul_base(const U256& k) { return add_table_sum(kInfinity, k, base_table()); }
+
+// The process-wide verification key tables (admission rule in the header).
+// A newcomer to a full tracker takes the least-seen key's slot with a count
+// of one, not that key's count, so keys that do not repeat (a submitter
+// rotating issuer keys) never reach a build. Tables are immutable and
+// shared, so a verify that holds one is not disturbed when it is evicted.
+class KeyTables {
+ public:
+  // Q's table if it has one, after counting this sighting of Q.
+  std::shared_ptr<const Table> find(const AffinePoint& q) {
+    {
+      const std::lock_guard lock(mu_);
+      for (Cached& cached : cached_) {
+        if (cached.key == q) {
+          cached.last_use = ++clock_;
+          ++stats_.hits;
+          return cached.table;
+        }
+      }
+      if (!admit(q)) return nullptr;
+    }
+    auto table = std::make_shared<const Table>(build_table(to_internal(q)));
+    const std::lock_guard lock(mu_);
+    ++stats_.builds;
+    if (cached_.size() == p256::kKeyTableCapacity) {
+      const auto lru = std::min_element(
+          cached_.begin(), cached_.end(),
+          [](const Cached& a, const Cached& b) { return a.last_use < b.last_use; });
+      cached_.erase(lru);
+      ++stats_.evictions;
+    }
+    cached_.push_back({q, table, ++clock_});
+    return table;
+  }
+
+  p256::KeyTableStats stats() {
+    const std::lock_guard lock(mu_);
+    p256::KeyTableStats out = stats_;
+    out.cached = cached_.size();
+    return out;
+  }
+
+ private:
+  struct Cached {
+    AffinePoint key;
+    std::shared_ptr<const Table> table;
+    std::uint64_t last_use;
+  };
+  struct Sighting {
+    AffinePoint key;
+    std::uint32_t count;
+  };
+
+  // Counts a sighting of Q; true (and Q leaves the tracker) when it is the
+  // one that earns Q its table.
+  bool admit(const AffinePoint& q) {
+    Sighting* least = nullptr;
+    for (Sighting& sighting : sightings_) {
+      if (sighting.key == q) {
+        if (++sighting.count < p256::kKeyTableAdmitAfter) return false;
+        sighting = sightings_.back();
+        sightings_.pop_back();
+        return true;
+      }
+      if (least == nullptr || sighting.count < least->count) least = &sighting;
+    }
+    if (sightings_.size() < p256::kKeyTableTracked) {
+      sightings_.push_back({q, 1});
+    } else {
+      *least = {q, 1};
+    }
+    return false;
+  }
+
+  std::mutex mu_;
+  std::vector<Cached> cached_;
+  std::vector<Sighting> sightings_;
+  std::uint64_t clock_ = 0;
+  p256::KeyTableStats stats_;
+};
+
+KeyTables& key_tables() {
+  static KeyTables tables;
+  return tables;
 }
 
 // Width-5 NAF of k: every digit is 0 or odd in [-15, 15], at most one of
@@ -327,7 +421,37 @@ Jacobian mul_wnaf(const U256& k, const Affine& q) {
   return acc;
 }
 
+// u1*G + u2*Q: two table sums once Q has earned a table, else the G table
+// sum plus a wNAF.
+Jacobian double_mul(const U256& u1, const U256& u2, const AffinePoint& q) {
+  const Jacobian a = mul_base(u1);
+  if (q.infinity) return a;
+  if (const auto table = key_tables().find(q)) return add_table_sum(a, u2, *table);
+  return add(a, mul_wnaf(u2, to_internal(q)));
+}
+
+// x(R) mod n == r without inverting Z: x(R) = X/Z^2 is below p < 2n, so it
+// is r or r + n, and the latter only when r + n < p.
+bool x_mod_n_equals(const Jacobian& R, const U256& r) {
+  if (R.is_infinity()) return false;
+  const U256 zz = kFp.sqr(R.Z);
+  if (kFp.mul(kFp.to_mont(r), zz) == R.X) return true;
+  U256 r_plus_n;
+  if (U256::add(r, kFn.modulus(), r_plus_n) || !(r_plus_n < kFp.modulus())) return false;
+  return kFp.mul(kFp.to_mont(r_plus_n), zz) == R.X;
+}
+
 }  // namespace
+
+namespace p256 {
+
+KeyTableStats key_table_stats() { return key_tables().stats(); }
+
+bool jacobian_x_mod_n_equals(const U256& X, const U256& Z, const U256& r) {
+  return x_mod_n_equals(Jacobian{kFp.to_mont(X), kFp.one(), kFp.to_mont(Z)}, r);
+}
+
+}  // namespace p256
 
 bool AffinePoint::on_curve() const {
   if (infinity) return true;
@@ -374,9 +498,7 @@ AffinePoint p256_multiply(const U256& k, const AffinePoint& point) {
 }
 
 AffinePoint p256_double_multiply(const U256& u1, const U256& u2, const AffinePoint& q) {
-  const Jacobian a = mul_base(u1);
-  if (q.infinity) return to_affine(a);
-  return to_affine(add(a, mul_wnaf(u2, to_internal(q))));
+  return to_affine(double_mul(u1, u2, q));
 }
 
 AffinePoint p256_add(const AffinePoint& a, const AffinePoint& b) {
@@ -487,10 +609,8 @@ bool ecdsa_verify_digest(const AffinePoint& public_key, const Digest& digest,
   if (sig.r.is_zero() || !(sig.r < n) || sig.s.is_zero() || !(sig.s < n)) return false;
   const U256 e = digest_to_scalar(digest);
   const U256 w = p256::scalar_inv(sig.s);
-  const AffinePoint R =
-      p256_double_multiply(p256::scalar_mul(e, w), p256::scalar_mul(sig.r, w), public_key);
-  if (R.infinity) return false;
-  return kFn.reduce(R.x) == sig.r;
+  return x_mod_n_equals(
+      double_mul(p256::scalar_mul(e, w), p256::scalar_mul(sig.r, w), public_key), sig.r);
 }
 
 bool ecdsa_verify(const AffinePoint& public_key, BytesView message, const EcdsaSignature& sig) {

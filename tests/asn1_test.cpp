@@ -213,6 +213,33 @@ TEST(DerParserTest, RejectsNonMinimalLength) {
   EXPECT_THROW(parser.next(), std::invalid_argument);
 }
 
+TEST(DerParserTest, RejectsLengthThatWrapsThePosition) {
+  // An 8-octet length of 2^64 - 1: pos + length wraps below the buffer size,
+  // so a sum-based bounds check would hand subspan a count past the end.
+  const Bytes der{0x04, 0x88, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff};
+  Parser parser(der);
+  EXPECT_THROW(parser.next(), std::invalid_argument);
+  // The same wrap one element in, after a valid TLV has advanced pos.
+  Bytes nested = encode_integer(1);
+  nested.insert(nested.end(), der.begin(), der.end());
+  Parser second(nested);
+  EXPECT_EQ(decode_integer(second.next()), 1);
+  EXPECT_THROW(second.next(), std::invalid_argument);
+}
+
+TEST(DerParserTest, RejectsLongFormLengthWithLeadingZero) {
+  // 0x90 must be encoded 81 90; 82 00 90 pads it with a zero octet.
+  Bytes der{0x04, 0x82, 0x00, 0x90};
+  der.resize(der.size() + 0x90, 0x11);
+  Parser parser(der);
+  EXPECT_THROW(parser.next(), std::invalid_argument);
+  // The minimal form of the same element parses.
+  Bytes minimal{0x04, 0x81, 0x90};
+  minimal.resize(minimal.size() + 0x90, 0x11);
+  Parser ok(minimal);
+  EXPECT_EQ(ok.next().value.size(), 0x90u);
+}
+
 TEST(DerParserTest, ExpectChecksTag) {
   const Bytes der = encode_integer(5);
   Parser parser(der);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "ctwatch/crypto/ec_p256.hpp"
@@ -332,6 +335,47 @@ TEST(EcdsaTest, VerifyRejectsSignatureWhoseSumIsInfinity) {
   EXPECT_FALSE(ecdsa_verify_digest(key.public_point(), digest_of(e), EcdsaSignature{r, U256{1}}));
 }
 
+TEST(EcdsaTest, JacobianCheckAcceptsXAtOrAboveOrder) {
+  // x(R) mod n == r is decided as X == r*Z^2 or X == (r+n)*Z^2 (mod p).
+  // The second form covers x in [n, p), which random signatures reach with
+  // probability about 2^-128, so it is checked here on constructed points.
+  const U256& p = p256::prime();
+  const U256& n = p256::order();
+  Rng rng(404);
+  const auto check = [&](const U256& x, const U256& r) {
+    const U256 z = oracle::reduce(U256(rng(), rng(), rng(), rng() | 1), p);
+    const U256 X = oracle::mul(x, oracle::mul(z, z, p), p);
+    return p256::jacobian_x_mod_n_equals(X, z, r);
+  };
+  U256 p_minus_1;
+  U256::sub(p, U256{1}, p_minus_1);
+  std::vector<U256> high = {n, p_minus_1};
+  for (int i = 0; i < 32; ++i) {
+    // n plus a 126-bit offset: p - n exceeds 2^126.
+    U256 x;
+    U256::add(n, U256(rng(), rng() >> 2, 0, 0), x);
+    ASSERT_TRUE(x < p);
+    high.push_back(x);
+  }
+  for (const U256& x : high) {
+    U256 r;
+    U256::sub(x, n, r);  // x mod n
+    EXPECT_TRUE(check(x, r)) << x.to_hex();
+    EXPECT_FALSE(check(x, oracle::add(r, U256{1}, n))) << x.to_hex();
+    if (!r.is_zero()) {
+      EXPECT_FALSE(check(x, oracle::sub(r, U256{1}, n))) << x.to_hex();
+    }
+  }
+  // x below n: r = x itself, including x small enough that x + n < p.
+  for (const U256& x : {U256{1}, U256{12345}, order_minus(1)}) {
+    EXPECT_TRUE(check(x, x)) << x.to_hex();
+    EXPECT_FALSE(check(x, oracle::add(x, U256{1}, n))) << x.to_hex();
+  }
+  // The point at infinity (Z == 0) matches nothing.
+  EXPECT_FALSE(p256::jacobian_x_mod_n_equals(U256{1}, U256{0}, U256{0}));
+  EXPECT_FALSE(p256::jacobian_x_mod_n_equals(U256{1}, U256{0}, U256{1}));
+}
+
 TEST(EcdsaTest, PublicKeysPlusAndMinusGenerator) {
   const auto plus = EcdsaKeyPair::from_private(U256{1});
   const auto minus = EcdsaKeyPair::from_private(order_minus(1));
@@ -351,6 +395,82 @@ TEST(EcdsaTest, DerivedKeysAreReproducibleAndDistinct) {
   const auto b = EcdsaKeyPair::derive("log-b");
   EXPECT_EQ(a1.public_point(), a2.public_point());
   EXPECT_FALSE(a1.public_point() == b.public_point());
+}
+
+// A key with one signed digest, and that digest with a bit flipped.
+struct SignedKey {
+  EcdsaKeyPair key;
+  Digest digest;
+  Digest tampered;
+  EcdsaSignature sig;
+};
+
+std::vector<SignedKey> signed_keys(const std::string& label, std::size_t count) {
+  std::vector<SignedKey> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto key = EcdsaKeyPair::derive(label + std::to_string(i));
+    const Digest digest = Sha256::hash(to_bytes(label + "message" + std::to_string(i)));
+    Digest tampered = digest;
+    tampered[0] ^= 0x80;
+    out.push_back({key, digest, tampered, key.sign_digest(digest)});
+  }
+  return out;
+}
+
+TEST(EcdsaKeyTableTest, RotationThroughMoreKeysThanTheCacheHolds) {
+  // Each round verifies under every key three times (its own signature, a
+  // tampered digest, the previous key's signature), so all keys earn tables
+  // part-way through and the least recently used are evicted while the
+  // rotation goes on. Verdicts must not depend on which path served them.
+  const std::size_t count = p256::kKeyTableCapacity + 4;
+  const auto keys = signed_keys("rotation-", count);
+  const auto before = p256::key_table_stats();
+  const std::size_t rounds = p256::kKeyTableAdmitAfter / 3 + 8;
+  for (std::size_t round = 0; round < rounds; ++round) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const SignedKey& k = keys[i];
+      const SignedKey& prev = keys[(i + count - 1) % count];
+      ASSERT_TRUE(ecdsa_verify_digest(k.key.public_point(), k.digest, k.sig)) << round << "/" << i;
+      ASSERT_FALSE(ecdsa_verify_digest(k.key.public_point(), k.tampered, k.sig)) << round;
+      ASSERT_FALSE(ecdsa_verify_digest(k.key.public_point(), prev.digest, prev.sig)) << round;
+    }
+  }
+  const auto after = p256::key_table_stats();
+  EXPECT_GE(after.builds - before.builds, count);
+  EXPECT_GE(after.evictions - before.evictions, count - p256::kKeyTableCapacity);
+  EXPECT_GT(after.hits, before.hits);
+  EXPECT_LE(after.cached, p256::kKeyTableCapacity);
+}
+
+TEST(EcdsaKeyTableTest, ConcurrentVerifiesWhileTablesAreBuiltAndEvicted) {
+  // Four threads over overlapping windows of the keys (each key is in two
+  // windows), so tables are built, shared and evicted while other threads
+  // hold them. Under ThreadSanitizer this is the cache's race check.
+  constexpr std::size_t kThreads = 4;
+  const std::size_t count = p256::kKeyTableCapacity + 8;
+  const std::size_t window = count / 2;
+  const auto keys = signed_keys("concurrent-", count);
+  const auto before = p256::key_table_stats();
+  const std::size_t rounds = p256::kKeyTableAdmitAfter / 4 + 16;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t round = 0; round < rounds; ++round) {
+        for (std::size_t j = 0; j < window; ++j) {
+          const SignedKey& k = keys[(t * count / kThreads + j) % count];
+          if (!ecdsa_verify_digest(k.key.public_point(), k.digest, k.sig)) ++wrong;
+          if (ecdsa_verify_digest(k.key.public_point(), k.tampered, k.sig)) ++wrong;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0);
+  const auto after = p256::key_table_stats();
+  EXPECT_GE(after.builds - before.builds, count);
+  EXPECT_GE(after.evictions - before.evictions, count - p256::kKeyTableCapacity);
+  EXPECT_LE(after.cached, p256::kKeyTableCapacity);
 }
 
 TEST(EcdsaTest, SignatureBytesRoundTrip) {

@@ -1001,6 +1001,45 @@ TEST(HttpdCtApiTest, ErrorShapes) {
   server.stop();
 }
 
+TEST(HttpdCtApiTest, AddChainRejectsHostileDerLengthsAndKeepsServing) {
+  logsvc::LogService service(fast_log("Httpd DER Log"));
+  Router router;
+  register_ct_api(router, service);
+  Server server(ServerOptions{}, std::move(router));
+  ASSERT_TRUE(server.start());
+  TestCa ca;
+  auto chain_of = [&ca](const Bytes& leaf_der) {
+    json::Array chain;
+    chain.emplace_back(base64_encode(leaf_der));
+    chain.emplace_back(base64_encode(ca.issuer_cert.encode()));
+    json::Object body;
+    body.emplace("chain", json::Value(std::move(chain)));
+    return json::Value(std::move(body)).dump();
+  };
+
+  // An 8-octet length of 2^64 - 1, which wraps a sum-based bounds check.
+  const Bytes wrapped{0x30, 0x88, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0x01};
+  // A correctly signed leaf whose outer length gains a leading zero octet
+  // (30 82 hi lo becomes 30 83 00 hi lo): BER, not DER.
+  const Bytes good = ca.leaf("der.example.org", 7).encode();
+  ASSERT_EQ(good[1], 0x82);
+  Bytes padded{0x30, 0x83, 0x00};
+  padded.insert(padded.end(), good.begin() + 2, good.end());
+
+  for (const Bytes& der : {wrapped, padded}) {
+    const auto response = wire_post(server.port(), "/ct/v1/add-chain", chain_of(der));
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->status, 400) << response->body;
+  }
+  // The server is still up and accepts the minimal encoding of the same leaf.
+  const auto accepted = wire_post(server.port(), "/ct/v1/add-chain", chain_of(good));
+  ASSERT_TRUE(accepted.has_value());
+  EXPECT_EQ(accepted->status, 200) << accepted->body;
+
+  service.stop();
+  server.stop();
+}
+
 TEST(HttpdCtApiTest, ConcurrentSubmittersAndReadersAreRaceFree) {
   // The API-level TSAN target: writers push add-chain (async SCT
   // completions crossing sequencer -> worker threads) while readers

@@ -324,4 +324,13 @@ EcdsaSignature sign_digest(const U256& d, const Digest& digest) {
   }
 }
 
+bool verify_digest(const AffinePoint& q, const Digest& digest, const EcdsaSignature& sig) {
+  const U256& n = p256::order();
+  if (sig.r.is_zero() || !(sig.r < n) || sig.s.is_zero() || !(sig.s < n)) return false;
+  const U256 e = reduce(U256::from_bytes(BytesView{digest.data(), digest.size()}), n);
+  const U256 w = inverse(sig.s, n);
+  const AffinePoint R = double_multiply(mul(e, w, n), mul(sig.r, w, n), q);
+  return !R.infinity && reduce(R.x, n) == sig.r;
+}
+
 }  // namespace ctwatch::crypto::oracle

@@ -2,7 +2,8 @@
 // algorithms the library's fast paths replaced. Generic modular arithmetic
 // by binary long division and binary extended GCD, the NIST (Solinas)
 // reduction over 32-bit words, Jacobian double-and-add, and ECDSA signing
-// on top of them. Slow and easy to check by eye; linked only into tests.
+// and verification on top of them. Slow and easy to check by eye; linked
+// only into tests.
 #pragma once
 
 #include <array>
@@ -49,5 +50,8 @@ AffinePoint double_multiply(const U256& u1, const U256& u2, const AffinePoint& q
 /// ECDSA signature of a digest under private scalar d, RFC 6979 nonce fed
 /// the raw digest (equal to the standard nonce for digests below n).
 EcdsaSignature sign_digest(const U256& d, const Digest& digest);
+/// ECDSA verification by the textbook rule: x(u1*G + u2*Q) mod n == r,
+/// with R made affine by an inversion.
+bool verify_digest(const AffinePoint& q, const Digest& digest, const EcdsaSignature& sig);
 
 }  // namespace ctwatch::crypto::oracle

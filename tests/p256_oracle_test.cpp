@@ -1,6 +1,7 @@
 // Differential tests: the library's P-256 arithmetic (Montgomery fields,
-// fixed-base window table, wNAF) against the reference implementation in
-// p256_oracle.cpp, on seeded random inputs and on edge scalars.
+// fixed-base window tables for G and for verification keys, wNAF) against
+// the reference implementation in p256_oracle.cpp, on seeded random inputs
+// and on edge scalars.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -155,6 +156,66 @@ TEST(P256OracleTest, SignDigestIsByteIdenticalBelowOrder) {
                 hex_encode(oracle::sign_digest(d, digest).to_bytes()))
           << d.to_hex() << " " << e.to_hex();
     }
+  }
+}
+
+Digest digest_of(const U256& value) {
+  const Bytes raw = value.to_bytes();
+  Digest digest{};
+  std::copy(raw.begin(), raw.end(), digest.begin());
+  return digest;
+}
+
+// Verification under one key, on both sides of the verify that earns the key
+// its table: sums of edge scalars, colliding halves, and the verdicts on
+// signatures and on their tampered digests all agree with the oracle.
+TEST(P256OracleTest, KeyTableMatchesOracleBeforeAndAfterAdmission) {
+  const U256& n = p256::order();
+  Rng rng(107);
+  const std::vector<U256> edges = edge_scalars();
+  for (int k = 0; k < 2; ++k) {
+    const U256 d = oracle::reduce(random_u256(rng), n);
+    const auto key = EcdsaKeyPair::from_private(d);
+    const AffinePoint& q = key.public_point();
+    std::size_t uses = 0;  // double multiplications under q so far
+    const auto check = [&](std::size_t stride) {
+      for (std::size_t i = 0; i < edges.size(); i += stride, ++uses) {
+        const U256& u1 = edges[i];
+        const U256& u2 = edges[edges.size() - 1 - i];
+        ASSERT_EQ(p256_double_multiply(u1, u2, q), oracle::double_multiply(u1, u2, q))
+            << u1.to_hex() << " " << u2.to_hex();
+      }
+      // u1*G == u2*Q doubles and u1*G == -u2*Q cancels.
+      const U256 u1 = oracle::reduce(random_u256(rng), n);
+      const U256 u2 = oracle::mul(u1, oracle::inverse(d, n), n);
+      ASSERT_EQ(p256_double_multiply(u1, u2, q), oracle::double_multiply(u1, u2, q));
+      ASSERT_TRUE(p256_double_multiply(u1, oracle::sub(U256{}, u2, n), q).infinity);
+      uses += 2;
+      for (const U256& e : {U256{0}, U256{1}, edges[40], random_u256(rng), random_u256(rng)}) {
+        const Digest digest = digest_of(e);
+        const EcdsaSignature sig = key.sign_digest(digest);
+        Digest tampered = digest;
+        tampered[31] ^= 0x01;
+        ASSERT_TRUE(oracle::verify_digest(q, digest, sig));
+        ASSERT_TRUE(ecdsa_verify_digest(q, digest, sig)) << e.to_hex();
+        ASSERT_FALSE(oracle::verify_digest(q, tampered, sig));
+        ASSERT_FALSE(ecdsa_verify_digest(q, tampered, sig)) << e.to_hex();
+        uses += 2;
+      }
+    };
+
+    const auto before = p256::key_table_stats();
+    check(8);
+    ASSERT_LT(uses, p256::kKeyTableAdmitAfter);
+    EXPECT_EQ(p256::key_table_stats().builds, before.builds) << "no table before admission";
+    const EcdsaSignature sig = key.sign_digest(digest_of(U256{7}));
+    for (; uses < p256::kKeyTableAdmitAfter; ++uses) {
+      ASSERT_TRUE(ecdsa_verify_digest(q, digest_of(U256{7}), sig));
+    }
+    const auto admitted = p256::key_table_stats();
+    EXPECT_EQ(admitted.builds, before.builds + 1);
+    check(1);
+    EXPECT_GT(p256::key_table_stats().hits - admitted.hits, edges.size());
   }
 }
 
