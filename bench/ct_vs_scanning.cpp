@@ -10,7 +10,7 @@
 // attacker that follows the log stream and resolves the leaked names.
 #include "bench_common.hpp"
 
-#include "ctwatch/ct/stream.hpp"
+#include "ctwatch/ct/log.hpp"
 
 #include <set>
 
@@ -131,8 +131,7 @@ int main(int argc, char** argv) {
       universe,
       dns::RecursiveResolver::Identity{net::IPv4(198, 18, 0, 66), 64666, "ct-fed", false});
   std::uint64_t ct_probes = 0, ct_v4_hits = 0, ct_v6_hits = 0;
-  ct::BatchPoller poller(log);
-  for (const ct::LogEntry& entry : poller.poll()) {
+  for (const ct::LogEntry& entry : log.get_entries(0, log.tree_size())) {
     for (const std::string& fqdn : entry.certificate.tbs.dns_names()) {
       const auto name = dns::DnsName::parse(fqdn);
       if (!name) continue;

@@ -6,10 +6,12 @@
 // thread count: 1 (the compiled-down serial path), 2, and the machine
 // width. Every run must be byte-identical to the single-thread baseline —
 // rendered Table 2 rows, every funnel counter, every phishing finding —
-// or the binary exits nonzero. With --strict the census+funnel pair must
-// additionally reach a 3x combined speedup, gated only on machines with
-// >= 8 hardware threads and never under sanitizers (parity is always
-// gated).
+// or the binary exits nonzero. The phishing scan reads the corpus CT names
+// plus the planted §5 corpus, and every run must flag exactly the planted
+// phishing names, so the phishing parity compares real findings. With
+// --strict the census+funnel pair must additionally reach a 3x combined
+// speedup, gated only on machines with >= 8 hardware threads and never
+// under sanitizers (parity is always gated).
 #include "bench_common.hpp"
 
 #include <chrono>
@@ -21,6 +23,7 @@
 
 #include "ctwatch/par/par.hpp"
 #include "ctwatch/phishing/detector.hpp"
+#include "ctwatch/sim/phishing_gen.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define CTWATCH_BENCH_SANITIZED 1
@@ -40,6 +43,22 @@ namespace {
 sim::DomainCorpus& corpus() {
   static sim::DomainCorpus corpus;
   return corpus;
+}
+
+const sim::PhishingCorpus& planted() {
+  static const sim::PhishingCorpus planted = sim::generate_phishing_corpus();
+  return planted;
+}
+
+/// What the phishing stage scans: the corpus CT names, then the planted
+/// phishing corpus.
+const std::vector<std::string>& phishing_input() {
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out = corpus().ct_names();
+    out.insert(out.end(), planted().names.begin(), planted().names.end());
+    return out;
+  }();
+  return names;
 }
 
 struct PipelineRun {
@@ -88,7 +107,7 @@ PipelineRun run_pipeline(unsigned threads) {
 
   phishing::PhishingDetector detector(corpus().psl(), phishing::standard_rules());
   start = std::chrono::steady_clock::now();
-  run.findings = detector.scan(corpus().ct_names());
+  run.findings = detector.scan(phishing_input());
   run.phishing_seconds = seconds_since(start);
 
   par::TaskPool::set_global_threads(0);
@@ -172,6 +191,16 @@ int main(int argc, char** argv) {
 
   bool parity = true;
   for (std::size_t i = 1; i < runs.size(); ++i) parity &= check_parity(runs[i], baseline);
+  // Parity alone would accept a scan that finds nothing at every width.
+  bool planted_found = true;
+  for (const PipelineRun& run : runs) {
+    if (run.findings.size() != planted().planted_phishing) {
+      std::fprintf(stderr, "FAIL: %u threads found %zu phishing names, %llu were planted\n",
+                   run.threads, run.findings.size(),
+                   static_cast<unsigned long long>(planted().planted_phishing));
+      planted_found = false;
+    }
+  }
 
   for (const PipelineRun& run : runs) {
     std::printf("%2u threads: census %7.1f ms   funnel %7.1f ms   phishing %7.1f ms\n",
@@ -181,8 +210,12 @@ int main(int argc, char** argv) {
   const double serial_core = baseline.census_seconds + baseline.funnel_seconds;
   const double widest_core = widest.census_seconds + widest.funnel_seconds;
   const double speedup = widest_core > 0 ? serial_core / widest_core : 0;
-  std::printf("census+funnel speedup at %u threads: %.2fx   parity: %s\n\n", widest.threads,
+  std::printf("census+funnel speedup at %u threads: %.2fx   parity: %s\n", widest.threads,
               speedup, parity ? "ok" : "FAILED");
+  std::printf("phishing: %zu findings of %llu planted   serial %.1f ms   %u threads %.1f ms\n\n",
+              baseline.findings.size(),
+              static_cast<unsigned long long>(planted().planted_phishing),
+              baseline.phishing_seconds * 1e3, widest.threads, widest.phishing_seconds * 1e3);
 
   bench::emit_result(
       "par_pipeline",
@@ -201,6 +234,7 @@ int main(int argc, char** argv) {
           .field("candidates", baseline.funnel.candidates)
           .field("confirmed", baseline.funnel.confirmed)
           .field("phishing_findings", static_cast<std::uint64_t>(baseline.findings.size()))
+          .field("phishing_planted", planted().planted_phishing)
           .field("parity", parity));
 
   int violations = 0;
@@ -208,6 +242,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: parallel/serial parity\n");
     ++violations;
   }
+  if (!planted_found) ++violations;
   // The throughput floor only means something on real parallel hardware
   // running real code: waived below 8 threads and under sanitizers.
   if (strict && hw >= 8 && !CTWATCH_BENCH_SANITIZED && speedup < 3.0) {

@@ -26,7 +26,7 @@ BENCHMARK(BM_PhishingScan)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   bench::banner("Table 3 — potential phishing domains identified in CT",
-                "regex matching + legitimate-domain exclusion, ~1/100 scale");
+                "brand-literal matching + legitimate-domain exclusion, ~1/100 scale");
   const sim::PhishingCorpus corpus = sim::generate_phishing_corpus();
   const dns::PublicSuffixList psl = dns::PublicSuffixList::bundled();
   // Mix the phishing corpus into a large benign background so exclusion and

@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "ctwatch/ct/stream.hpp"
+#include "ctwatch/ct/log.hpp"
 #include "ctwatch/dns/psl.hpp"
 
 namespace ctwatch::ct {

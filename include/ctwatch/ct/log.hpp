@@ -3,7 +3,7 @@
 // Supports add-chain / add-pre-chain submissions with cryptographic
 // validation, immediate Merkle integration, SCT issuance, signed tree
 // heads, inclusion/consistency proofs, get-entries range reads, and
-// streaming subscribers (the primitive behind CertStream-style monitors).
+// streaming subscribers (the primitive behind live-feed monitors).
 //
 // Capacity modelling: the paper documents the Nimbus incident — mass
 // submission overwhelmed a log into issuing bad SCTs and risking

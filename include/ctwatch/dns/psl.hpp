@@ -6,14 +6,18 @@
 // registrable domain. This implements the PSL matching algorithm — normal
 // rules, wildcard rules ("*.ck") and exception rules ("!www.ck") — over a
 // bundled snapshot, with the ability to add rules at runtime.
+//
+// The rules live in one hash map keyed by reversed dotted path, and one
+// walk decides every split: it visits the labels from the TLD down and
+// probes the map once per depth, until no rule reaches deeper. Both
+// split() overloads run that walk on label text — the pooled one reads
+// the pool's wait-free label table — so a const list is safe to share
+// between threads and holds no lock.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
+#include <functional>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -47,33 +51,12 @@ class PublicSuffixList {
   /// Empty list: every name's suffix is its TLD (the PSL "prevailing rule"
   /// is "*", i.e. match one label).
   PublicSuffixList() = default;
-  // The compiled-rule cache (mutex + pool binding) never travels with the
-  // list: copies and moved-from lists start with a fresh empty cache and
-  // recompile lazily.
-  PublicSuffixList(const PublicSuffixList& other) : rules_(other.rules_) {}
-  PublicSuffixList& operator=(const PublicSuffixList& other) {
-    if (this != &other) {
-      rules_ = other.rules_;
-      compiled_ = std::make_unique<CompiledCache>();
-    }
-    return *this;
-  }
-  PublicSuffixList(PublicSuffixList&& other)
-      : rules_(std::move(other.rules_)), compiled_(std::move(other.compiled_)) {
-    other.compiled_ = std::make_unique<CompiledCache>();
-  }
-  PublicSuffixList& operator=(PublicSuffixList&& other) {
-    if (this != &other) {
-      rules_ = std::move(other.rules_);
-      compiled_ = std::move(other.compiled_);
-      other.compiled_ = std::make_unique<CompiledCache>();
-    }
-    return *this;
-  }
 
   /// The bundled snapshot with the suffixes the experiments exercise plus
   /// common ICANN suffixes. Shaped like (a subset of) the real PSL.
   static PublicSuffixList bundled();
+  /// The bundled snapshot's rule text, in PSL syntax.
+  static std::string_view bundled_rules();
 
   /// Adds a rule in PSL syntax: "co.uk", "*.ck", "!www.ck".
   /// Throws std::invalid_argument on malformed rules.
@@ -81,7 +64,7 @@ class PublicSuffixList {
   /// Parses newline-separated PSL text (comments "//" and blanks skipped).
   void add_rules_text(const std::string& text);
 
-  [[nodiscard]] std::size_t rule_count() const { return rules_.size(); }
+  [[nodiscard]] std::size_t rule_count() const { return rule_count_; }
 
   /// Longest-matching public suffix for the name, per the PSL algorithm.
   /// A name that *is* a public suffix (or is shorter) has no registrable
@@ -95,55 +78,34 @@ class PublicSuffixList {
   [[nodiscard]] std::optional<NameSplit> split(const std::string& name) const;
 
   /// Splits a pooled name. Suffix and registrable domain are interned into
-  /// `pool` (usually pure table hits); no label text is copied. Applies the
-  /// same rules as split(), so the two decompositions always agree.
+  /// `pool` (usually pure table hits); no string is allocated. The rules
+  /// are matched on the pool's label text, so the decision is the one
+  /// split() makes and the list itself takes no lock.
   [[nodiscard]] std::optional<RefSplit> split(namepool::NamePool& pool,
                                               namepool::NameRef name) const;
 
  private:
-  enum class RuleKind { normal, wildcard, exception };
-  struct Rule {
-    RuleKind kind;
-    std::vector<std::string> labels;  // reversed: TLD first
-  };
+  /// Bits of the rule kinds present at one path; `deeper` marks a path
+  /// that a longer rule extends.
+  enum RuleKind : std::uint8_t { normal = 1, wildcard = 2, exception = 4, deeper = 8 };
 
-  /// Number of labels the matched suffix spans (>= 1 by the prevailing rule).
-  [[nodiscard]] std::size_t suffix_label_count(std::span<const std::string_view> labels) const;
-  [[nodiscard]] std::size_t suffix_label_count(const std::vector<std::string>& labels) const;
-  /// Same decision over interned ids — what split(pool, ref) runs on. The
-  /// rules are lazily compiled to LabelId paths against `pool`'s label
-  /// table, so matching is integer hashing with no string in sight.
-  [[nodiscard]] std::size_t suffix_label_count_ids(namepool::NamePool& pool,
-                                                   std::span<const namepool::LabelId> ids) const;
+  /// Number of labels the matched suffix spans (>= 1 by the prevailing
+  /// rule). `label(i)` is the i-th of `count` labels, leftmost first.
+  template <typename LabelAt>
+  [[nodiscard]] std::size_t suffix_label_count(std::size_t count, LabelAt label) const;
 
-  // Keyed by reversed label path joined with '.'. The transparent
-  // comparator lets the hot matching loop probe with string_views built in
-  // a reusable buffer instead of allocating a key per lookup.
-  std::map<std::string, Rule, std::less<>> rules_;
-
-  /// One rule path compiled to interned ids (reversed, TLD first); the
-  /// three kinds are merged per path.
-  struct CompiledRule {
-    std::vector<namepool::LabelId> path;
-    bool normal = false;
-    bool wildcard = false;
-    bool exception = false;
+  struct PathHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view path) const {
+      return std::hash<std::string_view>{}(path);
+    }
   };
-  // Compiled-rule cache for suffix_label_count_ids, keyed by the running
-  // hash of the reversed path. Bound to one pool at a time (recompiled on
-  // pool change or rule addition); all fields guarded by mu. Heap-held so
-  // the list itself stays copyable and movable.
-  struct CompiledCache {
-    std::mutex mu;
-    // Keyed by NamePool::generation(), never by address: a fresh pool can
-    // reuse a destroyed pool's address, and rule ids compiled against the
-    // old pool would silently mis-match every multi-label suffix.
-    std::uint64_t pool_generation = 0;  // 0 = never compiled
-    std::size_t rule_count = 0;
-    std::size_t max_depth = 0;
-    std::unordered_map<std::uint64_t, std::vector<CompiledRule>> rules;
-  };
-  mutable std::unique_ptr<CompiledCache> compiled_ = std::make_unique<CompiledCache>();
+  // Keyed by the reversed dotted path ("uk.co" for co.uk, "ck" for *.ck
+  // and "ck.www" for !www.ck); the value ORs the RuleKinds at that path.
+  // Every proper prefix of a rule path is present, so the walk stops at
+  // the first miss.
+  std::unordered_map<std::string, std::uint8_t, PathHash, std::equal_to<>> rules_;
+  std::size_t rule_count_ = 0;
 };
 
 }  // namespace ctwatch::dns

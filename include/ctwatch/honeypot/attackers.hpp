@@ -1,7 +1,7 @@
 // The third-party CT-monitor fleet observed by the honeypot (§6.2).
 //
 // Behaviour classes the paper distinguishes, each modeled explicitly:
-//  * streaming monitors (CertStream-like) reacting within minutes —
+//  * streaming monitors (live-feed followers) reacting within minutes —
 //    Google, 1&1, Deteque/Spamhaus, Amazon, OpenDNS, Petersburg Internet;
 //  * slower near-streaming actors (DigitalOcean ≈2 h) that also open
 //    HTTP(S) connections to the A record afterwards;

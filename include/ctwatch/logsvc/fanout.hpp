@@ -1,6 +1,6 @@
 // ctwatch::logsvc — streaming fanout to subscribers.
 //
-// The CertStream primitive (`ct::stream`) calls subscribers synchronously
+// The `ct::CtLog::subscribe` primitive calls subscribers synchronously
 // from the submit path, so one slow consumer stalls the log. Here every
 // subscriber gets a bounded ring and its own dispatch thread; the
 // sequencer's publish() is a try_push that never blocks. A full ring

@@ -17,6 +17,9 @@
 //    never move) and entry counts are published with release stores.
 // A ref obtained from any intern call may be used concurrently with
 // further interning, which is exactly what the TSAN target exercises.
+// Consumers that decide on names (the PSL split) read label text through
+// text() and keep no id-keyed state of their own, so nothing cached
+// against one pool can be misread against another.
 //
 // Memory accounting is explicit: bytes_used() reports what the arenas,
 // dedup tables and indexes actually hold, and every growth step is
@@ -186,12 +189,6 @@ class NamePool {
     return labels_.bytes_used() + bytes_.load(std::memory_order_relaxed);
   }
 
-  /// Distinct for every pool ever constructed. Caches keyed by pool
-  /// identity must use this, not the pool's address: a destroyed pool's
-  /// storage can be reused for a fresh pool at the same address, and ids
-  /// cached against the old pool are meaningless in the new one.
-  [[nodiscard]] std::uint64_t generation() const { return generation_; }
-
  private:
   static constexpr std::size_t kIdsPerBlock = 1u << 16;
   static constexpr std::size_t kMaxBlocks = 1u << 13;  // up to ~536M label slots
@@ -217,12 +214,6 @@ class NamePool {
   // lives in the arena at offset - 1, so slots are 4 bytes, not 8.
   std::vector<std::uint32_t> dedup_;
   std::size_t dedup_used_ = 0;
-
-  const std::uint64_t generation_ = next_generation();
-  [[nodiscard]] static std::uint64_t next_generation() {
-    static std::atomic<std::uint64_t> counter{0};
-    return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
 };
 
 }  // namespace ctwatch::namepool

@@ -2,52 +2,38 @@
 //
 // The paper's method: match domains that embed a target service's name or
 // a subset of its FQDN labels (e.g. "login.live" for Microsoft), then
-// exclude the service's legitimate registrable domains. The same logic is
-// implemented here with std::regex patterns per brand; findings carry the
-// public suffix so the brand↔suffix link (eBay→bid/review, Microsoft→live)
-// can be quantified.
+// exclude the service's legitimate registrable domains. Every rule here is
+// a list of literals: a name matches when one of them is a substring of
+// its canonical (lowercase, no trailing dot) text, dots included, so a
+// literal like "login.live" may span labels. Findings carry the public
+// suffix so the brand↔suffix link (eBay→bid/review, Microsoft→live) can
+// be quantified.
 //
-// Scanning is interned-label first: each rule declares dot-free keyword
-// literals, and a per-LabelId bitmask cache records which rules a label
-// can possibly satisfy. A name only reaches the (expensive) regex when one
-// of its labels carries a keyword of that rule — computed once per unique
-// label, not once per name. Rules without keywords always run their regex.
-//
-// scan()/scan_refs() run chunked over the ctwatch::par global pool when
-// one exists; chunk outputs are concatenated in chunk order, so the
+// scan() parses each name on its own (no interning), splits it with the
+// PSL and tries the rules in order. It runs chunked over the ctwatch::par
+// global pool when one exists; the chunks share only the read-only rules
+// and PSL, and their outputs are concatenated in chunk order, so the
 // findings vector (and every counter) is byte-identical to the serial
 // scan at any thread count.
 #pragma once
 
-#include <array>
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
-#include <regex>
-#include <span>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "ctwatch/dns/name.hpp"
 #include "ctwatch/dns/psl.hpp"
-#include "ctwatch/namepool/namepool.hpp"
 
 namespace ctwatch::phishing {
 
 /// Matching rule for one impersonation target.
 struct BrandRule {
   std::string brand;                         ///< e.g. "Apple"
-  std::string pattern;                       ///< ECMAScript regex over the FQDN
+  std::vector<std::string> literals;         ///< any one as a substring of the FQDN matches
   std::set<std::string> legitimate_domains;  ///< registrable domains to exclude
-  /// Prefilter contract: every match of `pattern` contains at least one of
-  /// these dot-free, lowercase literals. A dot-free substring of a dotted
-  /// FQDN always lies inside a single label, so "some label contains a
-  /// keyword" is a sound necessary condition. Empty = no prefilter; the
-  /// regex runs on every name.
-  std::vector<std::string> keywords;
 };
 
 /// The five services of Table 3 plus the government taxation offices.
@@ -69,93 +55,33 @@ struct BrandSummary {
 
 class PhishingDetector {
  public:
+  /// Literals are matched case-insensitively (they are lowercased here).
   PhishingDetector(const dns::PublicSuffixList& psl, std::vector<BrandRule> rules);
 
-  /// Scans FQDNs; invalid names are skipped (count reported separately).
+  /// Scans FQDNs. Invalid names, and names that are themselves a public
+  /// suffix, are skipped (count reported separately).
   std::vector<Finding> scan(std::span<const std::string> fqdns);
-
-  /// Scans names already interned in this detector's pool.
-  std::vector<Finding> scan_refs(std::span<const namepool::NameRef> refs);
 
   /// Aggregates findings per brand.
   static std::map<std::string, BrandSummary> summarize(const std::vector<Finding>& findings);
 
   [[nodiscard]] std::uint64_t names_scanned() const { return scanned_; }
   [[nodiscard]] std::uint64_t names_skipped() const { return skipped_; }
-  /// How many regex_search calls actually ran — the prefilter's receipt.
-  [[nodiscard]] std::uint64_t regex_evaluations() const { return regex_evaluations_; }
-
-  /// The pool scanned names are interned into (scan_refs input must come
-  /// from here).
-  [[nodiscard]] namepool::NamePool& pool() { return *pool_; }
 
  private:
-  static constexpr std::uint64_t kMaskUnset = ~0ull;
-
-  /// Thread-safe lazily-filled LabelId -> rule-mask cache. Slots live in
-  /// fixed blocks of atomics; a block is allocated under the mutex the
-  /// first time its id range is touched, and readers never lock.
-  /// Concurrent first computations of the same label are benign — the
-  /// mask is a pure function of the label text, so both writers store the
-  /// same value. Held by unique_ptr to keep the detector movable.
-  struct MaskCache {
-    static constexpr std::size_t kBlockSize = 4096;
-    static constexpr std::size_t kMaxBlocks = 4096;
-    struct Block {
-      std::array<std::atomic<std::uint64_t>, kBlockSize> slots;
-    };
-
-    ~MaskCache() {
-      for (auto& slot : blocks) delete slot.load(std::memory_order_relaxed);
-    }
-
-    /// The slot for a label id, allocating its block on first touch;
-    /// nullptr for ids beyond the fixed capacity (callers recompute).
-    std::atomic<std::uint64_t>* slot(std::size_t id) {
-      const std::size_t block_index = id / kBlockSize;
-      if (block_index >= kMaxBlocks) return nullptr;
-      Block* block = blocks[block_index].load(std::memory_order_acquire);
-      if (!block) {
-        std::lock_guard<std::mutex> lock(grow_mu);
-        block = blocks[block_index].load(std::memory_order_relaxed);
-        if (!block) {
-          block = new Block;
-          for (auto& s : block->slots) s.store(kMaskUnset, std::memory_order_relaxed);
-          blocks[block_index].store(block, std::memory_order_release);
-        }
-      }
-      return &block->slots[id % kBlockSize];
-    }
-
-    std::array<std::atomic<Block*>, kMaxBlocks> blocks{};
-    std::mutex grow_mu;
-  };
-
   /// Per-chunk counter partial; merged serially in chunk order.
   struct ScanTally {
     std::uint64_t scanned = 0;
     std::uint64_t skipped = 0;
-    std::uint64_t regex_evaluations = 0;
   };
 
-  void scan_one(namepool::NameRef ref, std::vector<Finding>& findings, ScanTally& tally) const;
-  [[nodiscard]] std::uint64_t label_mask(namepool::LabelId id) const;
-  std::vector<Finding> merge_chunks(std::vector<Finding> findings,
-                                    std::vector<std::vector<Finding>>& chunk_findings,
-                                    std::vector<ScanTally>& tallies);
+  void scan_one(const dns::DnsName& name, std::vector<Finding>& findings,
+                ScanTally& tally) const;
 
   const dns::PublicSuffixList* psl_;
   std::vector<BrandRule> rules_;
-  std::vector<std::regex> compiled_;
-  // Address-pinned arenas; unique_ptr keeps the detector movable.
-  std::unique_ptr<namepool::NamePool> pool_ = std::make_unique<namepool::NamePool>();
-  /// Which of the first 63 rules each interned label can satisfy; lazily
-  /// computed, kMaskUnset = not yet. Rules beyond 63 always run.
-  std::unique_ptr<MaskCache> masks_ = std::make_unique<MaskCache>();
-  std::uint64_t always_mask_ = 0;  ///< rules with no keywords
   std::uint64_t scanned_ = 0;
   std::uint64_t skipped_ = 0;
-  std::uint64_t regex_evaluations_ = 0;
 };
 
 }  // namespace ctwatch::phishing

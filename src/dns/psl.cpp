@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <stdexcept>
 
 #include "ctwatch/util/strings.hpp"
@@ -160,36 +161,41 @@ va
 )";
 }  // namespace
 
+std::string_view PublicSuffixList::bundled_rules() { return kBundledRules; }
+
 PublicSuffixList PublicSuffixList::bundled() {
   PublicSuffixList psl;
-  psl.add_rules_text(kBundledRules);
+  psl.add_rules_text(std::string(kBundledRules));
   return psl;
 }
 
 void PublicSuffixList::add_rule(const std::string& rule) {
   if (rule.empty()) throw std::invalid_argument("PSL: empty rule");
-  Rule parsed;
+  RuleKind kind = normal;
   std::string body = rule;
   if (body.front() == '!') {
-    parsed.kind = RuleKind::exception;
+    kind = exception;
     body.erase(0, 1);
   } else if (body.rfind("*.", 0) == 0) {
-    parsed.kind = RuleKind::wildcard;
+    kind = wildcard;
     body.erase(0, 2);
-  } else {
-    parsed.kind = RuleKind::normal;
   }
   if (body.empty()) throw std::invalid_argument("PSL: empty rule body: " + rule);
+  // No DNS name is longer, and the matching walk relies on it.
+  if (body.size() > 253) throw std::invalid_argument("PSL: rule too long: " + rule);
   std::vector<std::string> labels = ctwatch::split(to_lower(body), '.');
   for (const std::string& label : labels) {
     if (!valid_label(label)) throw std::invalid_argument("PSL: bad label in rule: " + rule);
   }
   std::reverse(labels.begin(), labels.end());
-  parsed.labels = labels;
-  std::string key = join(labels, ".");
-  if (parsed.kind == RuleKind::wildcard) key += ".*";
-  if (parsed.kind == RuleKind::exception) key += ".!";
-  rules_[key] = std::move(parsed);
+  std::string path = labels.front();
+  for (std::size_t depth = 1; depth < labels.size(); ++depth) {
+    rules_[path] |= deeper;  // the walk goes on past this path
+    path.append(".").append(labels[depth]);
+  }
+  std::uint8_t& kinds = rules_[path];
+  if ((kinds & kind) == 0) ++rule_count_;
+  kinds |= kind;
 }
 
 void PublicSuffixList::add_rules_text(const std::string& text) {
@@ -207,118 +213,37 @@ void PublicSuffixList::add_rules_text(const std::string& text) {
   }
 }
 
-std::size_t PublicSuffixList::suffix_label_count(
-    std::span<const std::string_view> labels) const {
-  // Evaluate rules per the PSL algorithm over the reversed label path:
-  // exception rules beat wildcard/normal; otherwise the longest match wins;
-  // no match -> prevailing rule "*" (one label).
+template <typename LabelAt>
+std::size_t PublicSuffixList::suffix_label_count(std::size_t count, LabelAt label) const {
+  // The PSL algorithm over the reversed label path: exception rules beat
+  // wildcard/normal; otherwise the longest match wins; no match -> the
+  // prevailing rule "*" (one label). One probe per depth, down to the
+  // first path that no rule reaches below.
   std::size_t best = 1;
   bool exception_hit = false;
   std::size_t exception_len = 0;
 
-  std::string path;
-  std::string probe;  // reused "<path>.*" / "<path>.!" key buffer
-  for (std::size_t depth = 1; depth <= labels.size(); ++depth) {
-    if (depth > 1) path.push_back('.');
-    path += labels[labels.size() - depth];
-    if (auto it = rules_.find(std::string_view(path));
-        it != rules_.end() && it->second.kind == RuleKind::normal) {
-      best = std::max(best, depth);
-    }
+  // A valid name is at most 253 characters, so its reversed path fits;
+  // the walk stops early rather than overflow on anything longer.
+  std::array<char, 256> buf;
+  std::size_t len = 0;
+  for (std::size_t depth = 1; depth <= count; ++depth) {
+    const std::string_view next = label(count - depth);
+    if (len + 1 + next.size() > buf.size()) break;
+    if (depth > 1) buf[len++] = '.';
+    std::memcpy(buf.data() + len, next.data(), next.size());
+    len += next.size();
+    const auto it = rules_.find(std::string_view(buf.data(), len));
+    if (it == rules_.end()) break;
+    if (it->second & normal) best = std::max(best, depth);
     // A wildcard rule "*.<path-of-depth-d>" matches a suffix of depth d+1.
-    probe.assign(path).append(".*");
-    if (auto it = rules_.find(std::string_view(probe));
-        it != rules_.end() && depth + 1 <= labels.size()) {
-      best = std::max(best, depth + 1);
-    }
-    probe.assign(path).append(".!");
-    if (auto it = rules_.find(std::string_view(probe)); it != rules_.end()) {
+    if ((it->second & wildcard) && depth + 1 <= count) best = std::max(best, depth + 1);
+    if (it->second & exception) {
       // Exception rule: the suffix is the rule minus its leftmost label.
       exception_hit = true;
       exception_len = depth - 1;
     }
-  }
-  if (exception_hit) return std::max<std::size_t>(exception_len, 1);
-  return best;
-}
-
-std::size_t PublicSuffixList::suffix_label_count(const std::vector<std::string>& labels) const {
-  std::vector<std::string_view> views(labels.begin(), labels.end());
-  return suffix_label_count(std::span<const std::string_view>(views));
-}
-
-namespace {
-constexpr std::uint64_t kPathHashBasis = 1469598103934665603ull;
-constexpr std::uint64_t kPathHashPrime = 1099511628211ull;
-}  // namespace
-
-std::size_t PublicSuffixList::suffix_label_count_ids(
-    namepool::NamePool& pool, std::span<const namepool::LabelId> ids) const {
-  CompiledCache& cache = *compiled_;
-  std::lock_guard<std::mutex> lock(cache.mu);
-  if (cache.pool_generation != pool.generation() || cache.rule_count != rules_.size()) {
-    // (Re)compile every rule path to ids in `pool`'s label table. Interning
-    // (not find) keeps the ids valid even for labels no name has used yet.
-    cache.rules.clear();
-    cache.max_depth = 0;
-    for (const auto& [key, rule] : rules_) {
-      std::vector<namepool::LabelId> path;
-      path.reserve(rule.labels.size());
-      std::uint64_t hash = kPathHashBasis;
-      for (const std::string& label : rule.labels) {
-        const namepool::LabelId id = pool.labels().intern(label);
-        path.push_back(id);
-        hash = (hash ^ id) * kPathHashPrime;
-      }
-      auto& bucket = cache.rules[hash];
-      CompiledRule* slot = nullptr;
-      for (CompiledRule& existing : bucket) {
-        if (existing.path == path) slot = &existing;
-      }
-      if (slot == nullptr) {
-        bucket.push_back(CompiledRule{std::move(path), false, false, false});
-        slot = &bucket.back();
-      }
-      switch (rule.kind) {
-        case RuleKind::normal: slot->normal = true; break;
-        case RuleKind::wildcard: slot->wildcard = true; break;
-        case RuleKind::exception: slot->exception = true; break;
-      }
-      cache.max_depth = std::max(cache.max_depth, slot->path.size());
-    }
-    cache.pool_generation = pool.generation();
-    cache.rule_count = rules_.size();
-  }
-
-  // Same decision procedure as the string overload, on integers: walk the
-  // reversed path depth by depth with a running hash. No rule is longer
-  // than cache.max_depth, so the walk stops there.
-  std::size_t best = 1;
-  bool exception_hit = false;
-  std::size_t exception_len = 0;
-  std::uint64_t hash = kPathHashBasis;
-  const std::size_t max_depth = std::min(ids.size(), cache.max_depth);
-  for (std::size_t depth = 1; depth <= max_depth; ++depth) {
-    hash = (hash ^ ids[ids.size() - depth]) * kPathHashPrime;
-    const auto it = cache.rules.find(hash);
-    if (it == cache.rules.end()) continue;
-    for (const CompiledRule& rule : it->second) {
-      if (rule.path.size() != depth) continue;
-      bool matches = true;
-      for (std::size_t i = 0; i < depth; ++i) {
-        if (rule.path[i] != ids[ids.size() - 1 - i]) {
-          matches = false;
-          break;
-        }
-      }
-      if (!matches) continue;
-      if (rule.normal) best = std::max(best, depth);
-      if (rule.wildcard && depth + 1 <= ids.size()) best = std::max(best, depth + 1);
-      if (rule.exception) {
-        exception_hit = true;
-        exception_len = depth - 1;
-      }
-    }
+    if (!(it->second & deeper)) break;
   }
   if (exception_hit) return std::max<std::size_t>(exception_len, 1);
   return best;
@@ -327,7 +252,9 @@ std::size_t PublicSuffixList::suffix_label_count_ids(
 std::optional<RefSplit> PublicSuffixList::split(namepool::NamePool& pool,
                                                 namepool::NameRef name) const {
   const std::span<const namepool::LabelId> ids = pool.ids(name);
-  const std::size_t suffix_len = suffix_label_count_ids(pool, ids);
+  const namepool::LabelTable& labels = pool.labels();
+  const std::size_t suffix_len =
+      suffix_label_count(ids.size(), [&](std::size_t i) { return labels.text(ids[i]); });
   if (ids.size() <= suffix_len) return std::nullopt;  // the name IS a suffix
   RefSplit out;
   out.public_suffix = pool.parent(name, ids.size() - suffix_len);
@@ -336,13 +263,21 @@ std::optional<RefSplit> PublicSuffixList::split(namepool::NamePool& pool,
   return out;
 }
 
+namespace {
+/// The i-th label of a parsed name, as suffix_label_count reads it.
+auto label_of(const DnsName& name) {
+  return [&name](std::size_t i) { return std::string_view(name.labels()[i]); };
+}
+}  // namespace
+
 std::string PublicSuffixList::public_suffix(const DnsName& name) const {
-  const std::size_t count = std::min(suffix_label_count(name.labels()), name.label_count());
+  const std::size_t count =
+      std::min(suffix_label_count(name.label_count(), label_of(name)), name.label_count());
   return name.parent(name.label_count() - count).to_string();
 }
 
 std::optional<NameSplit> PublicSuffixList::split(const DnsName& name) const {
-  const std::size_t suffix_len = suffix_label_count(name.labels());
+  const std::size_t suffix_len = suffix_label_count(name.label_count(), label_of(name));
   if (name.label_count() <= suffix_len) return std::nullopt;  // the name IS a suffix
   NameSplit out;
   out.public_suffix = name.parent(name.label_count() - suffix_len).to_string();

@@ -1,108 +1,57 @@
 #include "ctwatch/phishing/detector.hpp"
 
+#include <algorithm>
 #include <iterator>
 
-#include "ctwatch/dns/name.hpp"
 #include "ctwatch/par/par.hpp"
+#include "ctwatch/util/strings.hpp"
 
 namespace ctwatch::phishing {
 
 const std::vector<BrandRule>& standard_rules() {
-  // Keywords: see the contract on BrandRule::keywords — one dot-free
-  // literal per regex alternative (a branch like "apple\.com" still always
-  // contains "apple" without the dot).
   static const std::vector<BrandRule> rules = {
-      {"Apple", R"(appleid|apple\.com)", {"apple.com", "icloud.com"}, {"apple"}},
-      {"PayPal", R"(paypal)", {"paypal.com", "paypal.me"}, {"paypal"}},
+      {"Apple", {"appleid", "apple.com"}, {"apple.com", "icloud.com"}},
+      {"PayPal", {"paypal"}, {"paypal.com", "paypal.me"}},
       {"Microsoft",
-       R"(hotmail|login\.live|outlook|microsoft)",
-       {"microsoft.com", "live.com", "outlook.com", "hotmail.com", "office.com"},
-       {"hotmail", "live", "outlook", "microsoft"}},
-      {"Google",
-       R"(google)",
-       {"google.com", "googleapis.com", "google.de", "google.co.uk"},
-       {"google"}},
-      {"eBay", R"(ebay)", {"ebay.com", "ebay.co.uk", "ebay.de", "ebay.com.au"}, {"ebay"}},
+       {"hotmail", "login.live", "outlook", "microsoft"},
+       {"microsoft.com", "live.com", "outlook.com", "hotmail.com", "office.com"}},
+      {"Google", {"google"}, {"google.com", "googleapis.com", "google.de", "google.co.uk"}},
+      {"eBay", {"ebay"}, {"ebay.com", "ebay.co.uk", "ebay.de", "ebay.com.au"}},
       {"Taxation",
-       R"(ato\.gov\.au|hmrc\.gov\.uk|irs\.gov)",
        {"ato.gov.au", "hmrc.gov.uk", "irs.gov"},
-       {"ato", "hmrc", "irs"}},
+       {"ato.gov.au", "hmrc.gov.uk", "irs.gov"}},
   };
   return rules;
 }
 
 PhishingDetector::PhishingDetector(const dns::PublicSuffixList& psl, std::vector<BrandRule> rules)
     : psl_(&psl), rules_(std::move(rules)) {
-  compiled_.reserve(rules_.size());
-  for (std::size_t i = 0; i < rules_.size(); ++i) {
-    compiled_.emplace_back(rules_[i].pattern, std::regex::ECMAScript | std::regex::icase);
-    if (i < 63 && rules_[i].keywords.empty()) always_mask_ |= 1ull << i;
+  for (BrandRule& rule : rules_) {
+    for (std::string& literal : rule.literals) literal = to_lower(literal);
   }
 }
 
-std::uint64_t PhishingDetector::label_mask(namepool::LabelId id) const {
-  std::atomic<std::uint64_t>* slot = masks_->slot(id);
-  if (slot) {
-    const std::uint64_t cached = slot->load(std::memory_order_relaxed);
-    if (cached != kMaskUnset) return cached;
-  }
-  const std::string_view text = pool_->labels().text(id);
-  std::uint64_t mask = 0;
-  const std::size_t n = std::min<std::size_t>(rules_.size(), 63);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const std::string& keyword : rules_[i].keywords) {
-      if (text.find(keyword) != std::string_view::npos) {
-        mask |= 1ull << i;
-        break;
-      }
-    }
-  }
-  if (slot) slot->store(mask, std::memory_order_relaxed);
-  return mask;
-}
-
-void PhishingDetector::scan_one(namepool::NameRef ref, std::vector<Finding>& findings,
+void PhishingDetector::scan_one(const dns::DnsName& name, std::vector<Finding>& findings,
                                 ScanTally& tally) const {
-  const auto split = psl_->split(*pool_, ref);
+  const auto split = psl_->split(name);
   if (!split) {
     ++tally.skipped;
     return;
   }
-  std::uint64_t mask = always_mask_;
-  for (const namepool::LabelId id : pool_->ids(ref)) mask |= label_mask(id);
-  if (mask == 0 && rules_.size() <= 63) return;  // no rule can match; skip the regexes
-
-  const std::string text = pool_->to_string(ref);
-  std::string registrable;
-  for (std::size_t i = 0; i < rules_.size(); ++i) {
-    if (i < 63 && !(mask >> i & 1)) continue;
-    ++tally.regex_evaluations;
-    if (!std::regex_search(text, compiled_[i])) continue;
+  const std::string text = name.to_string();
+  for (const BrandRule& rule : rules_) {
+    const bool matches = std::any_of(rule.literals.begin(), rule.literals.end(),
+                                     [&](const std::string& literal) {
+                                       return text.find(literal) != std::string::npos;
+                                     });
+    if (!matches) continue;
     // Exclude the brand's own domains: a match inside the legitimate
     // registrable domain is not phishing.
-    if (registrable.empty()) registrable = pool_->to_string(split->registrable_domain);
-    if (rules_[i].legitimate_domains.contains(registrable)) continue;
+    if (rule.legitimate_domains.contains(split->registrable_domain)) continue;
     findings.push_back(
-        Finding{rules_[i].brand, text, pool_->to_string(split->public_suffix), registrable});
+        Finding{rule.brand, text, split->public_suffix, split->registrable_domain});
     break;  // first matching brand wins
   }
-}
-
-std::vector<Finding> PhishingDetector::merge_chunks(
-    std::vector<Finding> findings, std::vector<std::vector<Finding>>& chunk_findings,
-    std::vector<ScanTally>& tallies) {
-  // Chunks cover contiguous input slices, so chunk-order concatenation is
-  // the serial findings order; the tallies are order-independent sums.
-  for (const ScanTally& tally : tallies) {
-    scanned_ += tally.scanned;
-    skipped_ += tally.skipped;
-    regex_evaluations_ += tally.regex_evaluations;
-  }
-  for (std::vector<Finding>& chunk : chunk_findings) {
-    findings.insert(findings.end(), std::make_move_iterator(chunk.begin()),
-                    std::make_move_iterator(chunk.end()));
-  }
-  return findings;
 }
 
 std::vector<Finding> PhishingDetector::scan(std::span<const std::string> fqdns) {
@@ -112,28 +61,24 @@ std::vector<Finding> PhishingDetector::scan(std::span<const std::string> fqdns) 
   par::parallel_for_chunks(fqdns.size(), 256, [&](std::size_t c, par::IndexRange range) {
     for (std::size_t i = range.begin; i < range.end; ++i) {
       ++tallies[c].scanned;
-      const auto ref = dns::DnsName::parse_into(*pool_, fqdns[i]);
-      if (!ref) {
+      const auto name = dns::DnsName::parse(fqdns[i]);
+      if (!name) {
         ++tallies[c].skipped;
         continue;
       }
-      scan_one(*ref, chunk_findings[c], tallies[c]);
+      scan_one(*name, chunk_findings[c], tallies[c]);
     }
   });
-  return merge_chunks({}, chunk_findings, tallies);
-}
-
-std::vector<Finding> PhishingDetector::scan_refs(std::span<const namepool::NameRef> refs) {
-  const par::ChunkPlan plan = par::ChunkPlan::over(refs.size(), 256);
-  std::vector<std::vector<Finding>> chunk_findings(plan.chunks);
-  std::vector<ScanTally> tallies(plan.chunks);
-  par::parallel_for_chunks(refs.size(), 256, [&](std::size_t c, par::IndexRange range) {
-    for (std::size_t i = range.begin; i < range.end; ++i) {
-      ++tallies[c].scanned;
-      scan_one(refs[i], chunk_findings[c], tallies[c]);
-    }
-  });
-  return merge_chunks({}, chunk_findings, tallies);
+  // Chunks cover contiguous input slices, so chunk-order concatenation is
+  // the serial findings order; the tallies are order-independent sums.
+  std::vector<Finding> findings;
+  for (std::size_t c = 0; c < plan.chunks; ++c) {
+    scanned_ += tallies[c].scanned;
+    skipped_ += tallies[c].skipped;
+    findings.insert(findings.end(), std::make_move_iterator(chunk_findings[c].begin()),
+                    std::make_move_iterator(chunk_findings[c].end()));
+  }
+  return findings;
 }
 
 std::map<std::string, BrandSummary> PhishingDetector::summarize(

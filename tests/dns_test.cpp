@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "ctwatch/dns/name.hpp"
 #include "ctwatch/dns/psl.hpp"
 #include "ctwatch/dns/resolver.hpp"
 #include "ctwatch/dns/zone.hpp"
+#include "ctwatch/sim/domains.hpp"
+#include "psl_oracle.hpp"
 
 namespace ctwatch::dns {
 namespace {
@@ -171,12 +176,12 @@ TEST_F(PslTest, StringOverloadFiltersInvalidNames) {
   EXPECT_TRUE(psl_.split("www.example.de"));
 }
 
-// Regression: the pooled-split rule cache was keyed by the NamePool's
-// address. A fresh pool reusing a destroyed pool's heap address hit the
-// stale cache, whose compiled label ids mean nothing in the new pool, and
-// every multi-label suffix silently degraded to its last label
-// ("co.uk" -> "uk"). The cache is keyed by NamePool::generation() now;
-// the create/destroy loop makes address reuse overwhelmingly likely.
+// Regression: an earlier pooled split matched rules compiled to label ids
+// and cached per pool address. A fresh pool reusing a destroyed pool's
+// heap address hit the stale cache, and every multi-label suffix silently
+// degraded to its last label ("co.uk" -> "uk"). The split now matches on
+// label text and caches nothing; the create/destroy loop keeps checking
+// that address reuse cannot matter.
 TEST_F(PslTest, PooledSplitSurvivesPoolReincarnation) {
   for (int round = 0; round < 16; ++round) {
     auto pool = std::make_unique<namepool::NamePool>();
@@ -204,6 +209,150 @@ TEST(PslRuleTest, RulesTextSkipsCommentsAndBlanks) {
   PublicSuffixList psl;
   psl.add_rules_text("// comment\n\ncom\n  \nco.uk\r\n");
   EXPECT_EQ(psl.rule_count(), 2u);
+}
+
+TEST(PslRuleTest, RuleCountCountsEachKindAtOnePath) {
+  PublicSuffixList psl;
+  oracle::PslOracle reference;
+  for (const char* rule : {"uk", "*.uk", "!www.uk", "uk", "*.uk", "CO.UK"}) {
+    psl.add_rule(rule);
+    reference.add_rule(rule);
+    EXPECT_EQ(psl.rule_count(), reference.rule_count()) << rule;
+  }
+  EXPECT_EQ(psl.rule_count(), 4u);
+  // No rule can be longer than a DNS name.
+  std::string too_long = "ee";
+  for (char c : {'a', 'b', 'c', 'd'}) too_long = std::string(62, c) + "." + too_long;
+  EXPECT_EQ(too_long.size(), 254u);
+  EXPECT_THROW(psl.add_rule(too_long), std::invalid_argument);
+  EXPECT_NO_THROW(psl.add_rule(too_long.substr(1)));
+}
+
+// ---------- PSL against the oracle ----------
+
+// Names every split decision must agree on: mixed case, trailing dots,
+// names that are themselves suffixes, wildcard/exception structure,
+// unknown TLDs, deep names and invalid input.
+std::vector<std::string> psl_edge_names() {
+  return {"www.example.com",   "WWW.Example.CO.UK.",   "co.uk",        "uk",
+          "gov.uk",            "a.b.site.gov.uk",      "ck",           "foo.ck",
+          "shop.foo.ck",       "www.shop.foo.ck",      "www.ck",       "mail.www.ck",
+          "a.mail.www.ck",     "foo.bar.unknowntld",   "unknowntld",   "x.y.z.w.co.jp",
+          "co.jp",             "a.city.kawasaki.jp",   "kawasaki.jp",  "b.kawasaki.jp",
+          "c.b.kawasaki.jp",   "city.kawasaki.jp",     "login.live",   "refund.irs.gov.my-irs.com",
+          "not..a..name",      "apple phishing!.com",  "",             "127.0.0.1",
+          "-bad.example.com",  "trailing.example.com.", "x.COM.AU",    "a.b.c.d.e.f.g.h.com.au"};
+}
+
+// Compares every split entry point of `psl` with the oracle on `names`,
+// the pooled overload through one pool shared by all names.
+void expect_splits_match(const PublicSuffixList& psl, const oracle::PslOracle& reference,
+                         const std::vector<std::string>& names) {
+  namepool::NamePool pool;
+  for (const std::string& text : names) {
+    const auto name = DnsName::parse(text);
+    const auto by_string = psl.split(text);
+    if (!name) {
+      EXPECT_FALSE(by_string) << text;
+      continue;
+    }
+    EXPECT_EQ(psl.public_suffix(*name), reference.public_suffix(*name)) << text;
+    const auto expected = reference.split(*name);
+    const auto got = psl.split(*name);
+    ASSERT_EQ(got.has_value(), expected.has_value()) << text;
+    ASSERT_EQ(by_string.has_value(), expected.has_value()) << text;
+    const auto ref = DnsName::parse_into(pool, text);
+    ASSERT_TRUE(ref) << text;
+    const auto pooled = psl.split(pool, *ref);
+    ASSERT_EQ(pooled.has_value(), expected.has_value()) << text;
+    if (!expected) continue;
+    for (const NameSplit* split : {&*got, &*by_string}) {
+      EXPECT_EQ(split->public_suffix, expected->public_suffix) << text;
+      EXPECT_EQ(split->registrable_domain, expected->registrable_domain) << text;
+      EXPECT_EQ(split->subdomain_labels, expected->subdomain_labels) << text;
+    }
+    EXPECT_EQ(pool.to_string(pooled->public_suffix), expected->public_suffix) << text;
+    EXPECT_EQ(pool.to_string(pooled->registrable_domain), expected->registrable_domain) << text;
+    EXPECT_EQ(pooled->subdomain_label_count, expected->subdomain_labels.size()) << text;
+  }
+}
+
+TEST(PslOracleTest, BundledListMatchesOracleOnEdgeNames) {
+  const PublicSuffixList psl = PublicSuffixList::bundled();
+  const oracle::PslOracle reference = oracle::bundled();
+  EXPECT_EQ(psl.rule_count(), reference.rule_count());
+  expect_splits_match(psl, reference, psl_edge_names());
+}
+
+TEST(PslOracleTest, BundledListMatchesOracleOnCorpusSample) {
+  sim::DomainCorpusOptions options;
+  options.registrable_count = 2000;
+  const sim::DomainCorpus corpus(options);
+  expect_splits_match(PublicSuffixList::bundled(), oracle::bundled(), corpus.ct_names());
+}
+
+TEST(PslOracleTest, NestedWildcardAndExceptionRulesMatchOracle) {
+  // Normal, wildcard and exception rules stacked on the same paths.
+  const std::string rules =
+      "jp\nco.jp\n*.kawasaki.jp\n!city.kawasaki.jp\n*.ck\n!www.ck\nuk\n*.uk\nco.uk\n"
+      "!parliament.uk\ncom\ncom.au\n*.com.au\n!x.com.au\n";
+  PublicSuffixList psl;
+  oracle::PslOracle reference;
+  psl.add_rules_text(rules);
+  reference.add_rules_text(rules);
+  EXPECT_EQ(psl.rule_count(), reference.rule_count());
+  std::vector<std::string> names = psl_edge_names();
+  for (const char* extra : {"parliament.uk", "www.parliament.uk", "a.b.uk", "b.uk",
+                            "a.b.co.uk", "y.x.com.au", "z.y.com.au", "x.com.au"}) {
+    names.emplace_back(extra);
+  }
+  expect_splits_match(psl, reference, names);
+}
+
+// The list holds no lock and no per-pool state: four threads split through
+// both overloads of one shared list into one shared pool, and every result
+// equals the serial one. Under ThreadSanitizer this is the race surface.
+TEST(PslConcurrencyTest, SharedListSplitsFromFourThreadsIntoOnePool) {
+  const PublicSuffixList psl = PublicSuffixList::bundled();
+  std::vector<std::string> names = psl_edge_names();
+  for (int i = 0; i < 200; ++i) {
+    names.push_back("host" + std::to_string(i) + ".zone" + std::to_string(i % 13) + ".co.uk");
+    names.push_back("a" + std::to_string(i) + ".shop" + std::to_string(i % 7) + ".foo.ck");
+  }
+  std::vector<std::string> expected;
+  for (const std::string& text : names) {
+    const auto split = psl.split(text);
+    expected.push_back(split ? split->public_suffix + "|" + split->registrable_domain : "-");
+  }
+
+  namepool::NamePool pool;
+  std::vector<std::vector<std::string>> pooled(4), owned(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t k = 0; k < names.size(); ++k) {
+        // Each thread walks the names from a different offset, so first
+        // interning of a label races with other threads' reads.
+        const std::string& text = names[(k + t * names.size() / 4) % names.size()];
+        const auto ref = DnsName::parse_into(pool, text);
+        const auto split = ref ? psl.split(pool, *ref) : std::nullopt;
+        pooled[t].push_back(split ? pool.to_string(split->public_suffix) + "|" +
+                                        pool.to_string(split->registrable_domain)
+                                  : "-");
+        const auto by_name = psl.split(text);
+        owned[t].push_back(by_name ? by_name->public_suffix + "|" + by_name->registrable_domain
+                                   : "-");
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < 4; ++t) {
+    for (std::size_t k = 0; k < names.size(); ++k) {
+      const std::size_t i = (k + t * names.size() / 4) % names.size();
+      EXPECT_EQ(pooled[t][k], expected[i]) << names[i];
+      EXPECT_EQ(owned[t][k], expected[i]) << names[i];
+    }
+  }
 }
 
 // ---------- zones ----------

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "ctwatch/phishing/detector.hpp"
+#include "ctwatch/sim/domains.hpp"
 #include "ctwatch/sim/phishing_gen.hpp"
+#include "phishing_oracle.hpp"
 
 namespace ctwatch::phishing {
 namespace {
@@ -129,6 +131,86 @@ TEST(GeneratedCorpusTest, SuffixLinksMatchPaperDirection) {
   EXPECT_GT(bid_review, 0u);
   EXPECT_GT(summary.at("Apple").count, summary.at("Microsoft").count);
   EXPECT_GT(summary.at("PayPal").count, summary.at("Google").count);
+}
+
+TEST_F(DetectorTest, SkipsNamesThatAreThemselvesSuffixes) {
+  const std::vector<std::string> names{"co.uk", "paypal.com", "foo.ck", "www.paypal-x.ck"};
+  const auto findings = detector_.scan(names);
+  // co.uk and foo.ck (under *.ck) have no registrable domain.
+  EXPECT_EQ(detector_.names_skipped(), 2u);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].fqdn, "www.paypal-x.ck");
+  EXPECT_EQ(findings[0].registrable_domain, "www.paypal-x.ck");
+}
+
+TEST(DetectorRuleTest, LiteralsMatchCaseInsensitively) {
+  const dns::PublicSuffixList psl = dns::PublicSuffixList::bundled();
+  PhishingDetector detector(psl, {{"Brand", {"ExAmPle-Bank"}, {}}});
+  const std::vector<std::string> names{"login.EXAMPLE-bank.tk", "example-ban.tk"};
+  const auto findings = detector.scan(names);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].fqdn, "login.example-bank.tk");
+}
+
+// ---------- the literal rules against the std::regex oracle ----------
+
+void expect_matches_regex_oracle(const std::vector<std::string>& names) {
+  const dns::PublicSuffixList psl = dns::PublicSuffixList::bundled();
+  PhishingDetector detector(psl, standard_rules());
+  const std::vector<Finding> findings = detector.scan(names);
+  const oracle::RegexScan expected = oracle::regex_scan(dns::oracle::bundled(), names);
+  EXPECT_EQ(detector.names_scanned(), expected.scanned);
+  EXPECT_EQ(detector.names_skipped(), expected.skipped);
+  ASSERT_EQ(findings.size(), expected.findings.size());
+  for (std::size_t i = 0; i < findings.size(); ++i) {
+    EXPECT_EQ(findings[i].brand, expected.findings[i].brand) << i;
+    EXPECT_EQ(findings[i].fqdn, expected.findings[i].fqdn) << i;
+    EXPECT_EQ(findings[i].public_suffix, expected.findings[i].public_suffix) << i;
+    EXPECT_EQ(findings[i].registrable_domain, expected.findings[i].registrable_domain) << i;
+  }
+}
+
+TEST(DetectorOracleTest, StandardRulesAreTheRegexOracleBrands) {
+  ASSERT_EQ(standard_rules().size(), oracle::regex_rules().size());
+  for (std::size_t i = 0; i < standard_rules().size(); ++i) {
+    EXPECT_EQ(standard_rules()[i].brand, oracle::regex_rules()[i].brand);
+    EXPECT_EQ(standard_rules()[i].legitimate_domains, oracle::regex_rules()[i].legitimate_domains);
+  }
+}
+
+TEST(DetectorOracleTest, PlantedCorpusAndCorpusSampleMatchRegexOracle) {
+  std::vector<std::string> names = sim::generate_phishing_corpus().names;
+  sim::DomainCorpusOptions options;
+  options.registrable_count = 2000;
+  const sim::DomainCorpus corpus(options);
+  names.insert(names.end(), corpus.ct_names().begin(), corpus.ct_names().end());
+  expect_matches_regex_oracle(names);
+}
+
+TEST(DetectorOracleTest, AdversarialNamesMatchRegexOracle) {
+  expect_matches_regex_oracle({
+      // Mixed case and trailing dots.
+      "AppleID.Apple.Com-X.GQ", "PAYPAL.com-secure.money.", "WWW.Hotmail-Login.LIVE.",
+      // Literals across label dots, and near misses that split them.
+      "login.live", "www.login.live.tk", "login-live.tk", "loginlive.tk", "x.login.live.com",
+      "refund.irs.gov.my-irs.com", "irs.gov.example.tk", "irsgov.tk", "irs.go.tk",
+      "ato.gov.au.eng-atorefund.com", "hmrc.gov.uk-refund.cf", "hmrc-gov.uk.cf",
+      "apple.com.verify.ml", "apple-com.ml", "my-apple.com",
+      // Brand-owned domains and their subdomains.
+      "apple.com", "www.apple.com", "appleid.apple.com", "icloud.com", "appleid.icloud.com",
+      "paypal.com", "www.paypal.me", "login.live.com", "outlook.com", "mail.outlook.com",
+      "accounts.google.com", "www.google.co.uk", "google.de", "signin.ebay.com.au",
+      "www.irs.gov", "online.hmrc.gov.uk", "www.ato.gov.au", "irs.gov",
+      // A brand's own domain does not shield another brand's literal.
+      "paypal.google.com", "google.paypal.com", "ebay.apple.com",
+      // Names that are themselves suffixes, wildcards and exceptions.
+      "co.uk", "gov.uk", "live", "paypal.ck", "www.paypal.ck", "paypal.www.ck", "www.ck",
+      // First matching brand wins.
+      "paypal-google-login.tk", "microsoft-ebay.bid", "google-appleid.gq",
+      // Unrelated and invalid.
+      "www.example.org", "not..a..name", "apple phishing!.com", "", "paypal",
+      "-paypal.com", "paypal_.com", "127.0.0.1",
+  });
 }
 
 }  // namespace
